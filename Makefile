@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race determinism bench bench-smoke bench-check serve-smoke serve-bench cover lint lint-sarif fmt-check verify
+.PHONY: all build test race determinism bench bench-smoke bench-check serve-smoke serve-bench cover perfbench-test lint lint-sarif fmt-check verify
 
 all: build test lint
 
@@ -117,6 +117,13 @@ cover:
 		awk -v p="$$pct" 'BEGIN { exit (p+0 >= 80.0) ? 0 : 1 }' || \
 			{ echo "$$pkg coverage $$pct% is below the 80% floor"; exit 1; }; \
 	done
+
+# The benchmark harness is its own module, so `go test ./...` at the root
+# skips it. Its tests pin golden sample streams for the task-concurrency 1
+# BTED+BAO path (sequential policy) and the task-concurrency 2 adaptive
+# path through the scheduler, plus the harness's own statistics.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # In-repo static-analysis suite (internal/analysis): determinism,
 # float-safety, lock hygiene, unchecked errors, library panics, plus the

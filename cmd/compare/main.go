@@ -129,7 +129,8 @@ func run(ctx context.Context, model string, taskIdx int, workloadSpec, deviceNam
 	if err != nil {
 		return err
 	}
-	cache := backend.NewCache(sim)
+	sc := backend.NewSharedCache(0)
+	cache := backend.WithShared(sim, sc)
 
 	fmt.Printf("task %s on %s\nworkload %s\nspace %d configurations\n\n",
 		task.Name, deviceName, task.Workload.Key(), task.Space.Size())
@@ -207,8 +208,9 @@ func run(ctx context.Context, model string, taskIdx int, workloadSpec, deviceNam
 		fmt.Printf("%-10s %12.1f %12.1f %12.1f\n", name, acc[budget-1], acc[budget/4-1], acc[budget/2-1])
 		series = append(series, plot.Series{Name: name, Values: acc})
 	}
+	st := sc.Stats()
 	fmt.Printf("\nbackend cache: %d simulator calls, %d deduplicated revisits\n",
-		cache.Misses(), cache.Hits())
+		st.Misses, st.Hits)
 	if chart {
 		fmt.Println()
 		if err := (plot.LineChart{

@@ -158,7 +158,7 @@ func TestCrashResumeCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The round driver's first boundary precedes any measurement, so a
+			// The scheduler's first boundary precedes any measurement, so a
 			// very early kill can leave a valid zero-record checkpoint; the
 			// frame itself must always carry scheduler state.
 			if cp.Sched == nil {

@@ -70,7 +70,8 @@ func TestCacheServesIdenticalRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCache(b)
+	sc := NewSharedCache(0)
+	cache := WithShared(b, sc)
 	c := sp.FromFlat(17)
 
 	first := cache.MeasureSeeded(w, c, 99)
@@ -78,14 +79,14 @@ func TestCacheServesIdenticalRepeats(t *testing.T) {
 	if !sameMeasurement(first, again) {
 		t.Fatal("cached repeat differs from first measurement")
 	}
-	if cache.Misses() != 1 || cache.Hits() != 1 || cache.Len() != 1 {
-		t.Fatalf("misses=%d hits=%d len=%d after one repeat", cache.Misses(), cache.Hits(), cache.Len())
+	if st := sc.Stats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v after one repeat, want 1 miss / 1 hit / 1 entry", st)
 	}
 
 	// A different noise seed is a different measurement, not a hit.
 	other := cache.MeasureSeeded(w, c, 100)
-	if cache.Misses() != 2 {
-		t.Fatalf("distinct seed must miss: misses=%d", cache.Misses())
+	if st := sc.Stats(); st.Misses != 2 {
+		t.Fatalf("distinct seed must miss: misses=%d", st.Misses)
 	}
 	if sameMeasurement(first, other) {
 		t.Fatal("distinct noise seeds produced bitwise-equal noise (suspicious)")
@@ -102,7 +103,8 @@ func TestCacheMatchesUncachedBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCache(cachedInner)
+	sc := NewSharedCache(0)
+	cache := WithShared(cachedInner, sc)
 	for i := uint64(0); i < 32; i++ {
 		f := (i * 7) % 16 // repeats guaranteed
 		c := sp.FromFlat(f)
@@ -112,14 +114,18 @@ func TestCacheMatchesUncachedBackend(t *testing.T) {
 			t.Fatalf("flat %d: cache changed the observable measurement", f)
 		}
 	}
-	if cache.Hits() == 0 {
+	st := sc.Stats()
+	if st.Hits == 0 {
 		t.Fatal("repeat sweep produced no cache hits")
 	}
-	if cache.Misses()+cache.Hits() != 32 {
-		t.Fatalf("accounting broken: %d+%d != 32", cache.Misses(), cache.Hits())
+	if st.Misses+st.Hits != 32 {
+		t.Fatalf("accounting broken: %d+%d != 32", st.Misses, st.Hits)
 	}
 }
 
+// TestCacheUnseededPassThrough: shared-stream Measure calls interleaved
+// with seeded ones always reach the inner backend and never enter the memo,
+// while the seeded repeat is still served from it.
 func TestCacheUnseededPassThrough(t *testing.T) {
 	w, sp := testWorkload(t)
 	b, err := New("gtx1080ti", 5)
@@ -127,15 +133,18 @@ func TestCacheUnseededPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	counting := NewCounting(b)
-	cache := NewCache(counting)
+	sc := NewSharedCache(0)
+	cache := WithShared(counting, sc)
 	c := sp.FromFlat(3)
 	cache.Measure(w, c)
+	cache.MeasureSeeded(w, c, 7)
 	cache.Measure(w, c)
-	if cache.Hits() != 0 || cache.Len() != 0 {
-		t.Fatal("shared-stream Measure must never be cached")
+	cache.MeasureSeeded(w, c, 7)
+	if st := sc.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("shared-stream Measure must never be cached: %+v", st)
 	}
-	if counting.Calls() != 2 {
-		t.Fatalf("pass-through lost calls: %d", counting.Calls())
+	if counting.Calls() != 3 {
+		t.Fatalf("pass-through lost calls: %d, want 2 unseeded + 1 seeded miss", counting.Calls())
 	}
 }
 

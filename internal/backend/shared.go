@@ -8,6 +8,16 @@ import (
 	"repro/internal/tensor"
 )
 
+// cacheKey identifies one seeded measurement. The device name is part of
+// the key so a memo shared across backends can never serve a measurement
+// from the wrong device.
+type cacheKey struct {
+	device   string
+	workload string
+	flat     uint64
+	seed     int64
+}
+
 // DefaultSharedCacheCapacity bounds the fleet-wide measurement memo. One
 // entry is a cacheKey plus a Measurement (~100 bytes), so the default caps
 // the cache near 100 MB — large enough to hold every measurement of a
@@ -117,11 +127,11 @@ func (s *SharedCache) store(k cacheKey, mr hwsim.Measurement) {
 	s.m[k] = mr
 }
 
-// Shared layers a SharedCache over an inner backend. Unlike Cache it is a
-// view over fleet-wide state: many Shared instances (one per job) consult
-// and populate the same memo. It deliberately keeps the inner backend's
-// Name — the wrapper must be observationally invisible, and backend names
-// key cache entries and error messages alike.
+// Shared layers a SharedCache over an inner backend. It is a view over
+// shared state: many Shared instances (one per job, or one per cell of a
+// comparison grid) consult and populate the same memo. It deliberately
+// keeps the inner backend's Name — the wrapper must be observationally
+// invisible, and backend names key cache entries and error messages alike.
 type Shared struct {
 	inner Backend
 	sc    *SharedCache

@@ -71,17 +71,19 @@ type PipelineOptions struct {
 	Progress func(taskIdx, taskTotal int, name string)
 	// OnTaskDone, when non-nil, receives a completion event per task:
 	// outcome, wall clock spent tuning, measurement count, and the deployed
-	// configuration. With TaskConcurrency 1 it fires right after each task;
-	// at higher concurrency, at the scheduler's next round boundary, always
-	// in task-index order within a boundary.
+	// configuration. It fires at the scheduler round boundary that
+	// finalizes the task, in task-index order within a boundary; under the
+	// sequential policy (TaskConcurrency 1, uniform budget) that is right
+	// after each task, before the next one opens.
 	OnTaskDone func(TaskEvent)
 	// TaskConcurrency is how many tasks the graph scheduler tunes
-	// concurrently. 1 (or 0) selects the classic sequential pipeline,
-	// bit-identical to previous releases including live transfer-learning
-	// chaining. Values > 1 interleave tasks in deterministic rounds;
-	// results are then identical for every concurrency value and worker
-	// count, with transfer history snapshotted at round boundaries.
-	// Unseeded backends always execute one task at a time.
+	// concurrently. With the uniform budget policy, 1 (or 0) runs the
+	// scheduler's sequential policy: one task at a time in task order, the
+	// classic pipeline bit-identically, including live transfer-learning
+	// chaining. Values > 1 interleave tasks in deterministic rounds with
+	// transfer history snapshotted at round boundaries; results are then
+	// identical for every such value and every worker count. Unseeded
+	// backends always execute one task at a time.
 	TaskConcurrency int
 	// BudgetPolicy selects the scheduler's budget policy by name: "" or
 	// "uniform" gives every task its own budget (legacy behaviour);
@@ -197,9 +199,9 @@ func OptimizeModel(ctx context.Context, model string, tn tuner.Tuner, b backend.
 
 // OptimizeGraph is OptimizeModel over an already-built graph. The per-task
 // tuning is delegated to the deterministic graph scheduler (internal/sched):
-// TaskConcurrency 1 with the uniform policy runs the classic sequential
-// pipeline bit-identically; higher concurrency interleaves tasks in rounds
-// without changing any task's measurements.
+// TaskConcurrency 1 with the uniform policy runs its sequential policy, the
+// classic sequential pipeline bit-identically; higher concurrency
+// interleaves tasks in rounds without changing any task's measurements.
 func OptimizeGraph(ctx context.Context, g *graph.Graph, tn tuner.Tuner, b backend.Backend, opts PipelineOptions) (*Deployment, error) {
 	if opts.Runs <= 0 {
 		opts.Runs = 600
@@ -247,7 +249,7 @@ func OptimizeGraph(ctx context.Context, g *graph.Graph, tn tuner.Tuner, b backen
 		TaskDeadline:    opts.TaskDeadline,
 		OnTaskDone: func(o sched.Outcome) {
 			// Runs on the scheduler's driver goroutine, in completion order:
-			// with TaskConcurrency 1 that is exactly the legacy sequence
+			// under the sequential policy that is exactly the legacy sequence
 			// "tune task, select deployment, tune next task", which keeps
 			// unseeded backends' shared noise stream in the legacy order.
 			task := specs[o.Index].Task

@@ -89,7 +89,8 @@ func resultStreamHash(res tuner.Result) uint64 {
 }
 
 // TestPipelineGolden pins the pre-refactor pipeline output: the scheduler
-// path at concurrency 1 + uniform policy is the legacy sequential pipeline.
+// path at concurrency 1 + uniform policy (the scheduler's sequential policy)
+// is the legacy sequential pipeline.
 func TestPipelineGolden(t *testing.T) {
 	dep, err := OptimizeGraph(context.Background(), goldenGraph(), tuner.NewAutoTVM(),
 		testBackend(t, 77), goldenPipelineOpts())
@@ -104,7 +105,7 @@ func TestPipelineGolden(t *testing.T) {
 	}
 }
 
-// TestPipelineConcurrencyInvariance: with the round driver engaged
+// TestPipelineConcurrencyInvariance: with concurrent rounds engaged
 // (TaskConcurrency > 1), the deployment is identical for every concurrency
 // value — transfer snapshots at round boundaries make the interleaving
 // invisible.
@@ -128,13 +129,13 @@ func TestPipelineConcurrencyInvariance(t *testing.T) {
 		}
 	}
 	if ref.TotalMeasurements != goldenPipelineMeas {
-		t.Fatalf("round driver measurements = %d, want %d", ref.TotalMeasurements, goldenPipelineMeas)
+		t.Fatalf("concurrent-round measurements = %d, want %d", ref.TotalMeasurements, goldenPipelineMeas)
 	}
 }
 
-// TestPipelineAdaptiveInvariance: the adaptive policy always routes through
-// the round driver, so its deployments are identical across the whole
-// concurrency range including 1.
+// TestPipelineAdaptiveInvariance: the adaptive policy runs as itself at every
+// concurrency (only the uniform policy turns sequential at 1), so its
+// deployments are identical across the whole concurrency range including 1.
 func TestPipelineAdaptiveInvariance(t *testing.T) {
 	var refHash uint64
 	first := true

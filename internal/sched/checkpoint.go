@@ -15,19 +15,29 @@ import (
 const CheckpointVersion = 1
 
 // Driver names stamped into checkpoints. A checkpoint can only resume under
-// the driver that wrote it: the two drivers interleave transfer publication
-// and stepping differently, so continuing a sequential run under the round
-// driver (or vice versa) would not be the same run.
+// the policy selection that wrote it: the sequential policy (TaskConcurrency
+// 1 with the uniform policy) chains transfer publication live from task to
+// task, every other selection snapshots it at round boundaries, so
+// continuing one kind of run as the other would not be the same run. The
+// sequential name predates the single driver and is kept so existing
+// checkpoint files keep resuming.
 const (
 	DriverSequential = "sequential"
 	DriverRounds     = "rounds"
 )
 
+// driverName is the Driver stamp of runs under policy.
+func driverName(policy Policy) string {
+	if _, ok := policy.(sequentialPolicy); ok {
+		return DriverSequential
+	}
+	return DriverRounds
+}
+
 // Checkpoint is the complete serializable state of a scheduler run at a
-// round boundary (for the sequential driver: a step or finalization
-// boundary). It deliberately excludes the ambient run inputs — specs,
+// round boundary. It deliberately excludes the ambient run inputs — specs,
 // backend, policy, concurrency — which the resuming caller must supply
-// exactly as it did originally; the checkpoint carries the driver name and
+// exactly as it did originally; the checkpoint carries the driver stamp and
 // the task list so mismatches fail loudly instead of silently diverging.
 //
 // Everything else a resumed run needs is either in here or derivable:
@@ -36,11 +46,12 @@ const (
 //     via tuner.Opener.Restore.
 //   - Finalized tasks ride as OutcomeState; their transfer publications are
 //     replayed into the caller's (fresh) master history in Published order,
-//     and the round driver's per-task views are re-cloned from the rebuilt
-//     master — the next boundary refreshes them exactly as the original
-//     run's boundary did.
+//     and the per-task views are re-cloned from the rebuilt master — the
+//     next boundary refreshes them exactly as the original run's boundary
+//     did.
+//   - Tasks that had not started yet carry neither and open fresh.
 //   - The budget policy's inputs (previous-boundary measured counts and
-//     bests) are stored per task; both in-repo policies are otherwise
+//     bests) are stored per task; the in-repo policies are otherwise
 //     stateless, which the Policy contract requires of every implementation.
 //
 // Two pieces of state are intentionally not carried and restart on resume:
@@ -50,9 +61,10 @@ type Checkpoint struct {
 	Version int    `json:"version"`
 	Driver  string `json:"driver"`
 	// Round is the boundary the checkpoint was captured at: the resumed run
-	// re-enters its driver loop there, so policies that read the round
-	// number see the same sequence. For the sequential driver it is the
-	// index of the task being (or about to be) stepped.
+	// re-enters the round loop there, so policies that read the round
+	// number see the same sequence. (Sequential checkpoints written before
+	// the single driver hold the index of the task being stepped instead;
+	// the sequential policy ignores the round.)
 	Round int `json:"round"`
 	// Published lists the indices of tasks that have published their
 	// samples to the master transfer history, in publication order. Resume
@@ -62,9 +74,9 @@ type Checkpoint struct {
 	Tasks []TaskCheckpoint `json:"tasks"`
 }
 
-// TaskCheckpoint is one task's slice of a Checkpoint. Exactly one of
+// TaskCheckpoint is one task's slice of a Checkpoint. At most one of
 // Session (live task) and Outcome (finalized task) is set; both are nil for
-// a sequential-driver task that has not started yet.
+// a task that has not started yet.
 type TaskCheckpoint struct {
 	Index int    `json:"index"`
 	Name  string `json:"name"`
@@ -154,7 +166,7 @@ func (tc *TaskCheckpoint) restoreOutcome(task *tuner.Task) (Outcome, error) {
 }
 
 // validate checks a checkpoint against the resuming run's inputs: same
-// schema version, same driver (the caller must resume with the same
+// schema version, same driver stamp (the caller must resume with the same
 // concurrency and policy selection), and the same task list in the same
 // order. Per-session mismatches — seed, tuner name, snapshot schema — are
 // caught downstream by tuner.Opener.Restore.
@@ -163,7 +175,7 @@ func (cp *Checkpoint) validate(driver string, specs []Spec) error {
 		return fmt.Errorf("sched: resume: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
 	if cp.Driver != driver {
-		return fmt.Errorf("sched: resume: checkpoint from the %s driver, but the options select the %s driver (resume with the original concurrency and policy)", cp.Driver, driver)
+		return fmt.Errorf("sched: resume: checkpoint from a %s run, but the options select a %s run (resume with the original concurrency and policy)", cp.Driver, driver)
 	}
 	if len(cp.Tasks) != len(specs) {
 		return fmt.Errorf("sched: resume: checkpoint has %d tasks, run has %d", len(cp.Tasks), len(specs))
@@ -190,4 +202,29 @@ func snapshotSession(sess tuner.Session, name string, idx int) (*tuner.SessionSt
 		return nil, &TaskError{TaskName: name, Index: idx, Err: err}
 	}
 	return &st, nil
+}
+
+// checkpoint captures the run at a round boundary: outcomes of finalized
+// tasks, snapshots of live sessions, and bare bookkeeping for tasks that have
+// not opened yet.
+func checkpoint(policy Policy, round int, runs []*taskRun, outs []Outcome, published []int) (*Checkpoint, error) {
+	cp := &Checkpoint{Version: CheckpointVersion, Driver: driverName(policy), Round: round,
+		Published: append([]int(nil), published...), Tasks: make([]TaskCheckpoint, len(runs))}
+	for i, tr := range runs {
+		tc := TaskCheckpoint{Index: i, Name: tr.spec.Task.Name, Rounds: tr.rounds,
+			ElapsedNS: int64(tr.elapsed), PrevMeasured: tr.prevMeas, PrevBest: tr.prevBest}
+		switch {
+		case tr.finalized:
+			st := outcomeState(outs[i])
+			tc.Outcome = &st
+		case tr.sess != nil:
+			snap, err := snapshotSession(tr.sess, tr.spec.Task.Name, i)
+			if err != nil {
+				return nil, err
+			}
+			tc.Session = snap
+		}
+		cp.Tasks[i] = tc
+	}
+	return cp, nil
 }

@@ -3,6 +3,8 @@ package sched
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -54,7 +56,7 @@ func runCollectingCheckpoints(t *testing.T, tn tuner.Opener, seed int64, specs [
 
 // TestCheckpointRestoreGridInvariance is the scheduler half of the tentpole
 // contract: for every Workers x TaskConcurrency combination — spanning the
-// sequential and round drivers — a run checkpointed at every boundary,
+// sequential and the concurrent schedules — a run checkpointed at every boundary,
 // killed, and resumed from any of those checkpoints (after a trip through
 // the serialized form) finishes with outcomes bit-identical to the
 // uninterrupted run.
@@ -101,7 +103,8 @@ func TestCheckpointRestoreGridInvariance(t *testing.T) {
 // transfer views: a warm-started model-based run is resumed from a mid-run
 // checkpoint into fresh (empty) histories, which resume must repopulate so
 // the continuation's warm starts — and therefore its samples — stay
-// bit-identical. Both drivers are exercised.
+// bit-identical. Both the sequential policy's live chain and the
+// concurrent round snapshots are exercised.
 func TestCheckpointRestoreTransferChain(t *testing.T) {
 	tasks := schedTasks(t)
 	tn := tuner.NewAutoTVM()
@@ -216,7 +219,18 @@ func TestCheckpointResumeValidation(t *testing.T) {
 	tn := tuner.RandomTuner{}
 	specs := specsFor(tasks, 24, 3, 1, nil)
 	_, cps := runCollectingCheckpoints(t, tn, 2, specs, Options{TaskConcurrency: 2})
-	cp := cps[0]
+	// The first checkpoint precedes every task's first step; take one in
+	// which task 0 has already stepped, so its session must be present.
+	var cp *Checkpoint
+	for _, c := range cps {
+		if c.Tasks[0].Rounds > 0 && c.Tasks[0].Session != nil {
+			cp = c
+			break
+		}
+	}
+	if cp == nil {
+		t.Fatal("no checkpoint with a stepped live task 0")
+	}
 
 	fails := []struct {
 		name string
@@ -306,5 +320,57 @@ func TestCheckpointElapsedAccumulates(t *testing.T) {
 	}
 	if out.Rounds != 3 || out.Elapsed != 2*time.Second {
 		t.Fatalf("restored bookkeeping rounds=%d elapsed=%v", out.Rounds, out.Elapsed)
+	}
+}
+
+// TestCheckpointResumeSequentialFixture pins on-disk compatibility: the
+// fixture holds every checkpoint that the dedicated sequential driver (which
+// predates the sequential policy) wrote for a transfer-on autotvm run
+// (schedTasks, budget 32, plan 8, backend seed 13), plus that run's outcomes.
+// Each checkpoint must still resume to outcomes identical to the reference.
+func TestCheckpointResumeSequentialFixture(t *testing.T) {
+	frames, err := snap.ReadFile(filepath.Join("testdata", "sequential_v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := schedTasks(t)
+	var want []OutcomeState
+	var cps []*Checkpoint
+	for _, f := range frames {
+		switch f.Kind {
+		case "sched-outcomes/v1":
+			if err := f.Unmarshal(&want); err != nil {
+				t.Fatal(err)
+			}
+		case "sched-checkpoint/v1":
+			var cp Checkpoint
+			if err := f.Unmarshal(&cp); err != nil {
+				t.Fatal(err)
+			}
+			cps = append(cps, &cp)
+		}
+	}
+	if len(want) != len(tasks) || len(cps) < 3 {
+		t.Fatalf("fixture holds %d outcomes and %d checkpoints", len(want), len(cps))
+	}
+	for k, cp := range cps {
+		if cp.Driver != DriverSequential {
+			t.Fatalf("checkpoint %d: driver %q", k, cp.Driver)
+		}
+		got, err := Run(context.Background(), tuner.NewAutoTVM(), schedBackend(t, 13),
+			specsFor(tasks, 32, 17, 1, transfer.NewHistory()), Options{Resume: cp})
+		if err != nil {
+			t.Fatalf("checkpoint %d: resume: %v", k, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("checkpoint %d: %d outcomes, want %d", k, len(got), len(want))
+		}
+		for i, o := range got {
+			a, _ := json.Marshal(outcomeState(o))
+			b, _ := json.Marshal(want[i])
+			if !bytes.Equal(a, b) {
+				t.Fatalf("checkpoint %d: task %d outcome differs from the uninterrupted run", k, i)
+			}
+		}
 	}
 }

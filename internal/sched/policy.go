@@ -7,8 +7,9 @@ import (
 
 // TaskState is the scheduler's per-task snapshot handed to a Policy at each
 // round boundary. All fields are schedule-independent (derived from the
-// session's measured samples), so allocations — and therefore results — are
-// identical for every TaskConcurrency and Workers value.
+// session's measured samples), so under one policy allocations — and
+// therefore results — are identical for every TaskConcurrency and Workers
+// value.
 type TaskState struct {
 	// Index is the task's position in the spec list; allocations returned
 	// by Allocate are index-aligned.
@@ -66,7 +67,8 @@ func PolicyByName(name string) (Policy, error) {
 
 // UniformPolicy reproduces the legacy pipeline's budget behaviour: every
 // task keeps its own budget and advances by one plan per round until it is
-// spent. With TaskConcurrency 1 this is exactly the pre-scheduler pipeline.
+// spent. With TaskConcurrency 1 the scheduler runs it one task at a time
+// (sequentialPolicy), which is exactly the pre-scheduler pipeline.
 type UniformPolicy struct{}
 
 // Name implements Policy.
@@ -81,6 +83,31 @@ func (UniformPolicy) Allocate(_ int, states []TaskState) []int {
 	for i, st := range states {
 		if !st.Done {
 			out[i] = st.PlanSize
+		}
+	}
+	return out
+}
+
+// sequentialPolicy is the uniform policy one task at a time, what
+// TaskConcurrency 1 with the uniform policy runs: the lowest-index live task
+// gets one plan per round and every other task waits. Tasks therefore open,
+// run to completion and publish their transfer samples in spec order — the
+// classic per-task pipeline with its live transfer chaining.
+type sequentialPolicy struct{}
+
+// Name implements Policy.
+func (sequentialPolicy) Name() string { return "sequential" }
+
+// SessionBudget implements Policy: each task keeps its own budget.
+func (sequentialPolicy) SessionBudget(own, _ int) int { return own }
+
+// Allocate implements Policy: one plan for the lowest-index live task.
+func (sequentialPolicy) Allocate(_ int, states []TaskState) []int {
+	out := make([]int, len(states))
+	for i, st := range states {
+		if !st.Done {
+			out[i] = st.PlanSize
+			break
 		}
 	}
 	return out

@@ -18,6 +18,27 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
+func TestSequentialAllocate(t *testing.T) {
+	p := sequentialPolicy{}
+	if got := p.SessionBudget(64, 1000); got != 64 {
+		t.Fatalf("SessionBudget = %d, want 64", got)
+	}
+	states := []TaskState{
+		{Index: 0, PlanSize: 8, Done: true},
+		{Index: 1, PlanSize: 16},
+		{Index: 2, PlanSize: 4},
+	}
+	if got := p.Allocate(0, states); got[0] != 0 || got[1] != 16 || got[2] != 0 {
+		t.Fatalf("Allocate = %v, want only the lowest live task", got)
+	}
+	if r, _ := resolve(Options{TaskConcurrency: 1}, 3); r.Name() != "sequential" {
+		t.Fatalf("tc=1 uniform resolves to %s", r.Name())
+	}
+	if r, _ := resolve(Options{TaskConcurrency: 2}, 3); r.Name() != "uniform" {
+		t.Fatalf("tc=2 uniform resolves to %s", r.Name())
+	}
+}
+
 func TestUniformAllocate(t *testing.T) {
 	p := UniformPolicy{}
 	if got := p.SessionBudget(64, 1000); got != 64 {
@@ -101,7 +122,7 @@ func specsForPreview(t *testing.T, budget, plan int) []Spec {
 
 func TestPlanPreviewUniform(t *testing.T) {
 	specs := specsForPreview(t, 24, 8)
-	plans := PlanPreview(specs, Options{})
+	plans := PlanPreview(specs, Options{TaskConcurrency: 2})
 	if len(plans) != 3 {
 		t.Fatalf("%d rounds, want 3 (24/8)", len(plans))
 	}
@@ -123,6 +144,26 @@ func TestPlanPreviewUniform(t *testing.T) {
 	for i := range specs {
 		if cum[i] != 24 {
 			t.Fatalf("task %d planned %d, want 24", i, cum[i])
+		}
+	}
+}
+
+// TestPlanPreviewSequential: at TaskConcurrency 1 the preview shows the
+// sequential policy the scheduler runs — one task per round, each run to its
+// budget before the next starts.
+func TestPlanPreviewSequential(t *testing.T) {
+	specs := specsForPreview(t, 24, 8)
+	plans := PlanPreview(specs, Options{TaskConcurrency: 1})
+	if len(plans) != 9 {
+		t.Fatalf("%d rounds, want 9 (3 tasks x 24/8)", len(plans))
+	}
+	for r, plan := range plans {
+		if len(plan.Grants) != 1 {
+			t.Fatalf("round %d grants %d tasks, want 1", r, len(plan.Grants))
+		}
+		g := plan.Grants[0]
+		if want := r / 3; g.Index != want || g.Grant != 8 || g.Cumulative != 8*(r%3+1) {
+			t.Fatalf("round %d: %+v, want task %d", r, g, want)
 		}
 	}
 }

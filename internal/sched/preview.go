@@ -20,114 +20,54 @@ type RoundPlan struct {
 
 // PlanPreview simulates the round/budget schedule the scheduler would run
 // for the specs under opts — without opening sessions or measuring anything
-// (cmd/tune -dry-run). The simulation mirrors the round driver's allocation
-// and capping exactly, with two stated idealizations: sessions are assumed
-// to hit their per-round goals exactly (a real batch may overshoot by a
-// partial plan), and early stopping is unpredictable and ignored. Because
-// no measurements exist, marginal gains are all zero, so the adaptive
-// policy follows its equal-weight fallback — the schedule it runs until
-// real gains differentiate the tasks.
-//
-// With TaskConcurrency <= 1 and the uniform policy the scheduler runs the
-// sequential driver; the preview then shows each task's rounds grouped the
-// same way the round driver would, which is also the order the sequential
-// driver spends the same budgets in.
+// (cmd/tune -dry-run). It resolves the policy the way Run does (so
+// TaskConcurrency 1 with the uniform policy previews the sequential policy,
+// one task per round in spec order) and caps grants with the same code, with
+// two stated idealizations: sessions are assumed to hit their per-round
+// goals exactly (a real batch may overshoot by a partial plan), and early
+// stopping is unpredictable and ignored. Because no measurements exist,
+// marginal gains are all zero, so the adaptive policy follows its
+// equal-weight fallback — the schedule it runs until real gains
+// differentiate the tasks.
 func PlanPreview(specs []Spec, opts Options) []RoundPlan {
 	if len(specs) == 0 {
 		return nil
 	}
-	policy := opts.Policy
-	if policy == nil {
-		policy = UniformPolicy{}
+	policy, _ := resolve(opts, len(specs))
+	runs, totalBudget := newTaskRuns(specs, policy)
+	states := make([]TaskState, len(runs))
+	for i, tr := range runs {
+		states[i] = TaskState{Index: i, Name: tr.spec.Task.Name,
+			Budget: tr.ownBudget, PlanSize: tr.planSize, Weight: tr.spec.Task.Count}
 	}
-	n := len(specs)
-	ownBudget := make([]int, n)
-	sessBudget := make([]int, n)
-	planSize := make([]int, n)
-	totalBudget := 0
-	for i, sp := range specs {
-		nopts := sp.Opts.Normalized()
-		ownBudget[i] = nopts.Budget
-		planSize[i] = nopts.PlanSize
-		totalBudget += nopts.Budget
-	}
-	for i := range specs {
-		sessBudget[i] = policy.SessionBudget(ownBudget[i], totalBudget)
-	}
-
-	measured := make([]int, n)
-	prev := make([]int, n)
-	done := make([]bool, n)
 	var plans []RoundPlan
 	for round := 0; ; round++ {
 		totalMeasured := 0
-		for i := range specs {
-			totalMeasured += measured[i]
+		for _, st := range states {
+			totalMeasured += st.Measured
 		}
-		budgetSpent := totalMeasured >= totalBudget
-		liveCount := 0
-		for i := range specs {
-			if done[i] {
-				continue
+		live := 0
+		for i := range states {
+			st := &states[i]
+			st.Done = st.Done || st.Measured >= runs[i].sessBudget || totalMeasured >= totalBudget
+			if !st.Done {
+				live++
 			}
-			if measured[i] >= sessBudget[i] || budgetSpent {
-				done[i] = true
-				continue
-			}
-			liveCount++
 		}
-		if liveCount == 0 {
+		if live == 0 {
 			return plans
 		}
-
-		states := make([]TaskState, n)
-		for i, sp := range specs {
-			states[i] = TaskState{
-				Index: i, Name: sp.Task.Name, Done: done[i],
-				Measured: measured[i], PrevMeasured: prev[i],
-				Budget: ownBudget[i], PlanSize: planSize[i],
-				Weight: sp.Task.Count,
-			}
-		}
-		grants := policy.Allocate(round, states)
+		grants := capGrants(policy.Allocate(round, states), states, runs, totalBudget-totalMeasured)
 		plan := RoundPlan{Round: round}
-		remaining := totalBudget - totalMeasured
-		for i := range specs {
-			if done[i] {
+		for i, g := range grants {
+			st := &states[i]
+			st.PrevMeasured = st.Measured
+			if g == 0 {
 				continue
 			}
-			g := 0
-			if i < len(grants) {
-				g = grants[i]
-			}
-			g = min(g, sessBudget[i]-measured[i], remaining)
-			if g <= 0 {
-				continue
-			}
-			remaining -= g
-			measured[i] += g
+			st.Measured += g
 			plan.Grants = append(plan.Grants, PlannedGrant{
-				Index: i, Name: specs[i].Task.Name, Grant: g, Cumulative: measured[i]})
-		}
-		if len(plan.Grants) == 0 {
-			// Mirror the scheduler's liveness guard: one plan per live task.
-			for i := range specs {
-				if done[i] {
-					continue
-				}
-				g := min(planSize[i], sessBudget[i]-measured[i])
-				if g < 1 {
-					g = 1
-				}
-				measured[i] += g
-				plan.Grants = append(plan.Grants, PlannedGrant{
-					Index: i, Name: specs[i].Task.Name, Grant: g, Cumulative: measured[i]})
-			}
-		}
-		for i := range specs {
-			if !done[i] {
-				prev[i] = states[i].Measured
-			}
+				Index: i, Name: st.Name, Grant: g, Cumulative: st.Measured})
 		}
 		plans = append(plans, plan)
 	}

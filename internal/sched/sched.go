@@ -1,9 +1,19 @@
-// Package sched is the deterministic graph-level scheduler that replaced
-// the pipeline's sequential per-task loop: it opens one resumable tuner
-// session per extracted task (tuner.Opener) and advances them in rounds,
-// fanning the per-round step work of up to TaskConcurrency tasks onto
-// worker goroutines while each session's planned batches still run on the
-// shared measurement pool.
+// Package sched is the deterministic graph-level scheduler behind the
+// pipeline: it opens one resumable tuner session per extracted task
+// (tuner.Opener) and advances them in rounds. Each round a budget policy
+// grants tasks measurements, the granted tasks step concurrently (at most
+// TaskConcurrency at a time) while each session's planned batches still run
+// on the shared measurement pool, and the round boundary finalizes finished
+// tasks and publishes their samples to the transfer history.
+//
+// There is one driver; the policy decides which tasks advance. TaskConcurrency
+// 1 with the uniform policy runs the sequential policy: the lowest-index live
+// task gets one plan per round and every other task waits, so tasks open, run
+// to completion and publish one after another in spec order. A task opens at
+// its first grant, with a transfer view cloned from the master history at
+// that moment, so under the sequential policy every task warm-starts from all
+// earlier tasks' samples — the live chaining of the classic per-task
+// pipeline, bit for bit.
 //
 // # Determinism model
 //
@@ -19,18 +29,16 @@
 //     schedule-independent. TaskConcurrency therefore only changes how many
 //     tasks' step work runs in parallel, not what any task measures.
 //   - Transfer-learning history is snapshotted at round boundaries: every
-//     live task reads a per-task view refreshed from the master history
-//     after completed tasks publish to it in task-index order, so
-//     cross-task warm starts see the same history regardless of which
-//     goroutine finished first.
+//     live task reads a per-task view cloned when it opens and refreshed from
+//     the master history after completed tasks publish to it in task-index
+//     order, so cross-task warm starts see the same history regardless of
+//     which goroutine finished first.
 //
-// Consequently outcomes are bit-identical across every Workers value and
-// every TaskConcurrency value for a given driver. TaskConcurrency 1 with
-// the uniform policy selects the classic sequential driver — task after
-// task with live transfer chaining, bit-identical to the pre-scheduler
-// pipeline — while TaskConcurrency > 1 (or the adaptive policy) uses the
-// round driver, whose transfer warm starts differ from the sequential
-// chain only in snapshot granularity.
+// Consequently outcomes are bit-identical across every Workers value, and
+// across every TaskConcurrency >= 2 under one policy. With transfer off (or
+// under the adaptive policy) TaskConcurrency 1 gives the same outcomes too;
+// with transfer on, the sequential policy's live chaining differs from the
+// concurrent schedules' warm starts in snapshot granularity only.
 //
 // Unseeded backends draw noise from one shared stream, so concurrent task
 // stepping would interleave it nondeterministically; the scheduler degrades
@@ -70,40 +78,40 @@ type Outcome struct {
 	Err error
 	// Elapsed is the wall clock spent stepping this task's session.
 	Elapsed time.Duration
-	// Rounds is how many scheduler rounds the task was stepped in (1 for
-	// the sequential driver).
+	// Rounds is how many scheduler rounds the task was stepped in.
 	Rounds int
 }
 
 // Options configures a scheduler run.
 type Options struct {
-	// TaskConcurrency is how many tasks advance concurrently within a
-	// round. <= 1 selects the sequential driver (with the uniform policy:
-	// the exact legacy pipeline order). The value only controls execution
-	// parallelism — outcomes are identical for every value.
+	// TaskConcurrency is how many tasks step concurrently within a round.
+	// With the uniform policy, <= 1 selects the sequential policy: tasks run
+	// one after another in spec order with live transfer chaining (the
+	// classic pipeline). Outcomes are identical for every Workers value,
+	// and for every TaskConcurrency >= 2 under one policy.
 	TaskConcurrency int
 	// Policy allocates the per-round measurement budget; nil means
 	// UniformPolicy.
 	Policy Policy
-	// TaskDeadline bounds each task's search wall clock (zero = none). In
-	// the round driver the deadline context starts at the task's first
-	// step.
+	// TaskDeadline bounds each task's search wall clock (zero = none). The
+	// deadline context starts at the task's first step.
 	TaskDeadline time.Duration
 	// OnTaskStart, when non-nil, is called once per task (1-based index)
-	// before its session can step: in spec order in both drivers.
+	// when its session opens, just before its first step; the built-in
+	// policies open tasks in spec order.
 	OnTaskStart func(taskIdx, taskTotal int, name string)
 	// OnTaskDone, when non-nil, receives each task's outcome the moment it
-	// is finalized: immediately after the task in the sequential driver, at
-	// the next round boundary (in task-index order) in the round driver.
-	// Both drivers invoke it from a single goroutine, never concurrently.
+	// is finalized: at the round boundary after its last step, in
+	// task-index order within a boundary (under the sequential policy that
+	// is right after the task). It is invoked from the driver goroutine,
+	// never concurrently.
 	OnTaskDone func(Outcome)
 	// OnCheckpoint, when non-nil, receives the run's serializable state at
-	// boundaries (see Checkpoint): round boundaries in the round driver,
-	// step and finalization boundaries in the sequential one. It is invoked
-	// from the driver goroutine, never concurrently with stepping, and the
-	// checkpoint is fully detached — the callback may serialize it at
-	// leisure. A session that cannot snapshot aborts the run with a
-	// *TaskError the first time a checkpoint is due.
+	// round boundaries (see Checkpoint). It is invoked from the driver
+	// goroutine, never concurrently with stepping, and the checkpoint is
+	// fully detached — the callback may serialize it at leisure. A session
+	// that cannot snapshot aborts the run with a *TaskError the first time a
+	// checkpoint is due.
 	OnCheckpoint func(*Checkpoint)
 	// CheckpointEvery is the minimum number of new measurements between
 	// checkpoints; boundaries reached earlier are skipped. 0 captures at
@@ -143,210 +151,35 @@ func fatal(ctx context.Context, res tuner.Result, err error) bool {
 	return err != nil && (ctx.Err() != nil || !errors.Is(err, context.DeadlineExceeded) || !res.Found)
 }
 
-// Run tunes every spec and returns the outcomes in spec order. On a fatal
-// task failure it returns the outcomes finalized so far plus a *TaskError
-// (wrapping the task's tuning error); the remaining tasks are not tuned.
-func Run(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, opts Options) ([]Outcome, error) {
-	if len(specs) == 0 {
-		return nil, nil
+// resolve returns the policy a run over n tasks executes under and its task
+// concurrency, clamped to [1, n]. TaskConcurrency 1 with the uniform policy
+// runs the sequential policy.
+func resolve(opts Options, n int) (Policy, int) {
+	policy := opts.Policy
+	if policy == nil {
+		policy = UniformPolicy{}
 	}
-	if opts.Policy == nil {
-		opts.Policy = UniformPolicy{}
+	conc := max(1, min(opts.TaskConcurrency, n))
+	if _, uniform := policy.(UniformPolicy); uniform && conc == 1 {
+		policy = sequentialPolicy{}
 	}
-	conc := opts.TaskConcurrency
-	if conc > len(specs) {
-		conc = len(specs)
-	}
-	if conc < 1 {
-		conc = 1
-	}
-	_, uniform := opts.Policy.(UniformPolicy)
-	if conc == 1 && uniform {
-		return runSequential(ctx, tn, b, specs, opts)
-	}
-	if !b.Seeded() {
-		// One shared noise stream: round structure stays policy-driven but
-		// step execution must be serial (and is then deterministic, since
-		// rounds visit tasks in index order).
-		conc = 1
-	}
-	return runRounds(ctx, tn, b, specs, opts, conc)
+	return policy, conc
 }
 
-// runSequential is the legacy pipeline driver: open, drive to completion
-// and finalize each task in order, with the shared transfer history chaining
-// live from task to task. Bit-identical to the pre-scheduler per-task loop.
-// The Drive loop is inlined as an explicit step loop so a checkpoint can be
-// captured at every step boundary and after every finalization.
-func runSequential(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, opts Options) ([]Outcome, error) {
-	outs := make([]Outcome, 0, len(specs))
-	var published []int // indices in transfer-publication order
-	first := 0
-	var liveState *tuner.SessionState
-	var liveElapsed time.Duration
-	totalDone := 0 // measurements recorded by finalized tasks
-	lastCp := 0    // totalMeasured at the last captured checkpoint
-
-	if cp := opts.Resume; cp != nil {
-		if err := cp.validate(DriverSequential, specs); err != nil {
-			return nil, err
-		}
-		// Finalized tasks form a prefix in this driver; rebuild their
-		// outcomes and replay their transfer publications.
-		for i, tc := range cp.Tasks {
-			if tc.Outcome == nil {
-				break
-			}
-			out, err := tc.restoreOutcome(specs[i].Task)
-			if err != nil {
-				return nil, err
-			}
-			outs = append(outs, out)
-			totalDone += out.Result.Measurements
-		}
-		first = len(outs)
-		for i := first; i < len(cp.Tasks); i++ {
-			if cp.Tasks[i].Outcome != nil {
-				return nil, fmt.Errorf("sched: resume: sequential checkpoint finalized task %d before task %d", i, first)
-			}
-			if cp.Tasks[i].Session != nil && i != first {
-				return nil, fmt.Errorf("sched: resume: sequential checkpoint carries a session for task %d, want %d", i, first)
-			}
-		}
-		if first < len(cp.Tasks) {
-			liveState = cp.Tasks[first].Session
-			liveElapsed = time.Duration(cp.Tasks[first].ElapsedNS)
-		}
-		for _, idx := range cp.Published {
-			if idx < 0 || idx >= first {
-				return nil, fmt.Errorf("sched: resume: published task %d is not finalized", idx)
-			}
-			sp := specs[idx]
-			if sp.Opts.Transfer != nil && len(outs[idx].Result.Samples) > 0 {
-				sp.Opts.Transfer.Add(sp.Task.Name, sp.Task.Workload.Op, outs[idx].Result.Samples)
-			}
-			published = append(published, idx)
-		}
-		lastCp = totalDone
-	}
-
-	for i := first; i < len(specs); i++ {
-		sp := specs[i]
-		st := liveState
-		liveState = nil
-		prior := time.Duration(0)
-		if st != nil {
-			prior = liveElapsed
-		} else if opts.OnTaskStart != nil {
-			// A restored task already announced itself before the
-			// checkpoint; only fresh tasks fire the callback.
-			opts.OnTaskStart(i+1, len(specs), sp.Task.Name)
-		}
-		// The per-task deadline is layered under the caller's ctx: either
-		// can end the search, and the session returns the samples measured
-		// so far in both cases. The deadline clock restarts on resume.
-		tctx := ctx
-		cancel := func() {}
-		if opts.TaskDeadline > 0 {
-			tctx, cancel = context.WithTimeout(ctx, opts.TaskDeadline)
-		}
-		start := time.Now() //lint:ignore walltime Outcome.Elapsed observability: recorded for reporting, never read by scheduling
-		var sess tuner.Session
-		var err error
-		if st != nil {
-			sess, err = tn.Restore(tctx, sp.Task, b, sp.Opts, *st)
-		} else {
-			sess, err = tn.Open(tctx, sp.Task, b, sp.Opts)
-		}
-		if err != nil {
-			cancel()
-			return outs, &TaskError{TaskName: sp.Task.Name, Index: i, Err: err}
-		}
-		for {
-			done, serr := sess.Step(tctx)
-			if done || serr != nil {
-				break
-			}
-			if opts.OnCheckpoint == nil {
-				continue
-			}
-			if tm := totalDone + sess.Measured(); tm-lastCp >= opts.CheckpointEvery {
-				snap, cerr := snapshotSession(sess, sp.Task.Name, i)
-				if cerr != nil {
-					cancel()
-					return outs, cerr
-				}
-				//lint:ignore walltime Outcome.Elapsed observability: carried through the checkpoint for reporting only
-				cp := seqCheckpoint(specs, outs, published, i, snap, prior+time.Since(start))
-				lastCp = tm
-				opts.OnCheckpoint(cp)
-			}
-		}
-		res, terr := sess.Result()
-		cancel()
-		elapsed := prior + time.Since(start) //lint:ignore walltime Outcome.Elapsed observability: reported upward only
-		if fatal(ctx, res, terr) {
-			return outs, &TaskError{TaskName: sp.Task.Name, Index: i, Err: terr}
-		}
-		out := Outcome{Index: i, Task: sp.Task, Result: res, Err: terr, Elapsed: elapsed, Rounds: 1}
-		outs = append(outs, out)
-		totalDone += res.Measurements
-		if sp.Opts.Transfer != nil && len(res.Samples) > 0 {
-			// The session itself published to the shared history in
-			// Result; record the order so resume can replay the Add.
-			published = append(published, i)
-		}
-		if opts.OnTaskDone != nil {
-			opts.OnTaskDone(out)
-		}
-		if opts.OnCheckpoint != nil {
-			if last := i == len(specs)-1; last || totalDone-lastCp >= opts.CheckpointEvery {
-				cp := seqCheckpoint(specs, outs, published, i+1, nil, 0)
-				lastCp = totalDone
-				opts.OnCheckpoint(cp)
-			}
-		}
-	}
-	return outs, nil
-}
-
-// seqCheckpoint assembles the sequential driver's checkpoint: the finalized
-// prefix, optionally the live session's snapshot, and empty placeholders
-// for tasks not yet started.
-func seqCheckpoint(specs []Spec, outs []Outcome, published []int, next int, live *tuner.SessionState, liveElapsed time.Duration) *Checkpoint {
-	cp := &Checkpoint{Version: CheckpointVersion, Driver: DriverSequential, Round: next,
-		Published: append([]int(nil), published...), Tasks: make([]TaskCheckpoint, len(specs))}
-	for i, sp := range specs {
-		tc := TaskCheckpoint{Index: i, Name: sp.Task.Name}
-		switch {
-		case i < len(outs):
-			tc.Rounds = outs[i].Rounds
-			tc.ElapsedNS = int64(outs[i].Elapsed)
-			tc.PrevMeasured = outs[i].Result.Measurements
-			st := outcomeState(outs[i])
-			tc.Outcome = &st
-		case i == next && live != nil:
-			tc.Session = live
-			tc.ElapsedNS = int64(liveElapsed)
-		}
-		cp.Tasks[i] = tc
-	}
-	return cp
-}
-
-// taskRun is the round driver's per-task state. Fields written by worker
+// taskRun is the driver's per-task state. Fields written by worker
 // goroutines (done, elapsed, rounds, cancel) are only read by the driver
 // goroutine after the round barrier; the task's deadline context itself
-// lives in a slice local to runRounds (contexts are call-scoped).
+// lives in a slice local to Run (contexts are call-scoped).
 type taskRun struct {
 	idx        int
 	spec       Spec
-	sess       tuner.Session
+	sess       tuner.Session     // nil until the task opens, and again once finalized
 	master     *transfer.History // the spec's shared history, nil when transfer is off
 	view       *transfer.History // round-boundary snapshot the session reads
 	ownBudget  int               // the spec's normalized budget
 	sessBudget int               // the cap baked into the session (policy may raise it)
 	planSize   int
+	goal       int // measured count the current round steps toward
 	cancel     context.CancelFunc
 	done       bool // session reported done
 	finalized  bool
@@ -355,13 +188,13 @@ type taskRun struct {
 	prevMeas   int
 	prevBest   float64
 	// finalMeasured / finalBest stand in for the session's accounting view
-	// when a finalized task was restored from a checkpoint without one.
+	// once the task is finalized and its session released.
 	finalMeasured int
 	finalBest     float64
 }
 
 // measured is the task's budget-accounting view: the live session's count,
-// or the restored outcome's for a checkpoint-restored finalized task.
+// or the final one once the session is released (0 before it opens).
 func (tr *taskRun) measured() int {
 	if tr.sess != nil {
 		return tr.sess.Measured()
@@ -378,27 +211,53 @@ func (tr *taskRun) best() float64 {
 	return tr.finalBest
 }
 
-// runRounds is the round driver: all sessions open up front, and each round
-// the policy grants every live task a measurement allowance, the granted
-// tasks step concurrently (at most conc at a time), and the boundary
-// finalizes finished tasks and re-snapshots the transfer views.
-func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, opts Options, conc int) ([]Outcome, error) {
-	totalBudget := 0
-	for _, sp := range specs {
-		totalBudget += sp.Opts.Normalized().Budget
+// open starts the task's session — restored from st when non-nil — reading
+// a transfer view cloned from the master history as it stands now.
+func (tr *taskRun) open(ctx context.Context, tn tuner.Opener, b backend.Backend, st *tuner.SessionState) error {
+	nopts := tr.spec.Opts.Normalized()
+	nopts.Budget = tr.sessBudget
+	if tr.master != nil {
+		tr.view = tr.master.Clone()
+		nopts.Transfer = tr.view
 	}
-
-	cp := opts.Resume
-	if cp != nil {
-		if err := cp.validate(DriverRounds, specs); err != nil {
-			return nil, err
-		}
+	var sess tuner.Session
+	var err error
+	if st != nil {
+		sess, err = tn.Restore(ctx, tr.spec.Task, b, nopts, *st)
+	} else {
+		sess, err = tn.Open(ctx, tr.spec.Task, b, nopts)
 	}
+	if err != nil {
+		return &TaskError{TaskName: tr.spec.Task.Name, Index: tr.idx, Err: err}
+	}
+	tr.sess = sess
+	return nil
+}
 
-	runs := make([]*taskRun, len(specs))
+// Run tunes every spec and returns the outcomes in spec order. On a fatal
+// task failure it returns the outcomes finalized so far plus a *TaskError
+// (wrapping the task's tuning error); the remaining tasks are not tuned.
+//
+// Each round the policy grants every live task a measurement allowance, the
+// granted tasks step concurrently, and the boundary finalizes finished tasks
+// and re-snapshots the transfer views. A session opens at its task's first
+// grant and is released when the task is finalized, so the sequential policy
+// holds one live session at a time.
+func Run(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, opts Options) ([]Outcome, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	policy, conc := resolve(opts, len(specs))
+	if !b.Seeded() {
+		// One shared noise stream: round structure stays policy-driven but
+		// step execution must be serial (and is then deterministic, since
+		// rounds visit tasks in index order).
+		conc = 1
+	}
+	runs, totalBudget := newTaskRuns(specs, policy)
 	defer func() {
 		for _, tr := range runs {
-			if tr != nil && tr.cancel != nil {
+			if tr.cancel != nil {
 				tr.cancel()
 			}
 		}
@@ -406,52 +265,39 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 	outs := make([]Outcome, len(specs))
 	finalized := 0
 	var published []int // indices in transfer-publication order
+	firstRound := 0
 
-	// Pass 1: per-task bookkeeping, and restored outcomes for tasks the
-	// checkpoint had already finalized. Opening the sessions waits until the
-	// master transfer histories are rebuilt (pass 2) so restored sessions
-	// clone warm-start views with the same content the original ones held.
-	for i, sp := range specs {
-		if cp == nil && opts.OnTaskStart != nil {
-			// On resume every task already announced itself before the
-			// checkpoint (this driver opens all tasks up front).
-			opts.OnTaskStart(i+1, len(specs), sp.Task.Name)
+	if cp := opts.Resume; cp != nil {
+		if err := cp.validate(driverName(policy), specs); err != nil {
+			return nil, err
 		}
-		nopts := sp.Opts.Normalized()
-		tr := &taskRun{idx: i, spec: sp, ownBudget: nopts.Budget, planSize: nopts.PlanSize}
-		tr.sessBudget = opts.Policy.SessionBudget(nopts.Budget, totalBudget)
-		if sp.Opts.Transfer != nil {
-			tr.master = sp.Opts.Transfer
-		}
-		runs[i] = tr
-		if cp == nil {
-			continue
-		}
-		tc := cp.Tasks[i]
-		tr.rounds = tc.Rounds
-		tr.elapsed = time.Duration(tc.ElapsedNS)
-		tr.prevMeas = tc.PrevMeasured
-		tr.prevBest = tc.PrevBest
-		if tc.Outcome != nil {
-			out, err := tc.restoreOutcome(sp.Task)
-			if err != nil {
-				return nil, err
+		for i, tr := range runs {
+			tc := cp.Tasks[i]
+			tr.rounds = tc.Rounds
+			tr.elapsed = time.Duration(tc.ElapsedNS)
+			tr.prevMeas = tc.PrevMeasured
+			tr.prevBest = tc.PrevBest
+			if tc.Outcome != nil {
+				out, err := tc.restoreOutcome(tr.spec.Task)
+				if err != nil {
+					return nil, err
+				}
+				outs[i] = out
+				tr.finalized = true
+				tr.finalMeasured = out.Result.Measurements
+				if out.Result.Found {
+					tr.finalBest = out.Result.Best.GFLOPS
+				}
+				finalized++
+			} else if tc.Session == nil && tc.Rounds > 0 {
+				// A task with neither outcome nor session has not started
+				// and opens fresh; one that already stepped must carry its
+				// session.
+				return nil, fmt.Errorf("sched: resume: live task %s has no session snapshot", tr.spec.Task.Name)
 			}
-			outs[i] = out
-			tr.finalized = true
-			tr.finalMeasured = out.Result.Measurements
-			if out.Result.Found {
-				tr.finalBest = out.Result.Best.GFLOPS
-			}
-			finalized++
-		} else if tc.Session == nil {
-			return nil, fmt.Errorf("sched: resume: live task %s has no session snapshot", sp.Task.Name)
 		}
-	}
-
-	// Pass 2: replay transfer publications into the caller's fresh master
-	// histories, in the original publication order.
-	if cp != nil {
+		// Replay transfer publications into the caller's fresh master
+		// histories, in the original publication order.
 		for _, idx := range cp.Published {
 			if idx < 0 || idx >= len(runs) || !runs[idx].finalized {
 				return nil, fmt.Errorf("sched: resume: published task %d is not finalized", idx)
@@ -462,45 +308,35 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 			}
 			published = append(published, idx)
 		}
+		// Restore the checkpointed sessions now that the masters are rebuilt,
+		// so their views clone the content the original sessions read.
+		for i, tr := range runs {
+			if st := cp.Tasks[i].Session; st != nil && !tr.finalized {
+				if err := tr.open(ctx, tn, b, st); err != nil {
+					return nil, err
+				}
+			}
+		}
+		// Re-enter the loop at the checkpointed boundary: the boundary code
+		// is idempotent for already-finalized tasks, and policies see the
+		// same round numbers the uninterrupted run fed them. (Sequential
+		// checkpoints written before the policy existed hold a task index
+		// here; the sequential policy ignores the round.)
+		firstRound = cp.Round
+	}
+	openFresh := func(tr *taskRun) error {
+		if opts.OnTaskStart != nil {
+			opts.OnTaskStart(tr.idx+1, len(specs), tr.spec.Task.Name)
+		}
+		return tr.open(ctx, tn, b, nil)
 	}
 
-	// Pass 3: open (or restore) the live sessions.
-	for i, sp := range specs {
-		tr := runs[i]
-		if tr.finalized {
-			continue
-		}
-		nopts := sp.Opts.Normalized()
-		nopts.Budget = tr.sessBudget
-		if tr.master != nil {
-			tr.view = tr.master.Clone()
-			nopts.Transfer = tr.view
-		}
-		var sess tuner.Session
-		var err error
-		if cp != nil {
-			sess, err = tn.Restore(ctx, sp.Task, b, nopts, *cp.Tasks[i].Session)
-		} else {
-			sess, err = tn.Open(ctx, sp.Task, b, nopts)
-		}
-		if err != nil {
-			return nil, &TaskError{TaskName: sp.Task.Name, Index: i, Err: err}
-		}
-		tr.sess = sess
-	}
 	// Per-task stepping contexts (parent ctx, optionally under the task
 	// deadline), created lazily at a task's first step so the deadline clock
 	// starts when the task does (and restarts there on resume). Each slot is
 	// touched by one worker per round and rounds are barriers, so plain
 	// access is safe.
 	tctxs := make([]context.Context, len(specs))
-	firstRound := 0
-	if cp != nil {
-		// Re-enter the loop at the checkpointed boundary: the boundary code
-		// is idempotent for already-finalized tasks, and policies see the
-		// same round numbers the uninterrupted run fed them.
-		firstRound = cp.Round
-	}
 	lastCp := 0 // totalMeasured at the last captured checkpoint
 	for round := firstRound; ; round++ {
 		// A parent cancellation aborts the whole run, like the legacy
@@ -519,12 +355,21 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 			if tr.finalized {
 				continue
 			}
-			if !tr.done && tr.sess.Measured() < tr.sessBudget && !budgetSpent {
+			if !tr.done && tr.measured() < tr.sessBudget && !budgetSpent {
 				continue
+			}
+			if tr.sess == nil {
+				// The budget ran out before the task's first grant: it still
+				// reports the empty result its Tune call would have.
+				if err := openFresh(tr); err != nil {
+					return doneOutcomes(outs, runs), err
+				}
 			}
 			res, rerr := tr.sess.Result()
 			tr.finalized = true
 			finalized++
+			tr.finalMeasured, tr.finalBest = tr.measured(), tr.best()
+			tr.sess, tr.view = nil, nil
 			if tr.cancel != nil {
 				tr.cancel()
 				tr.cancel = nil
@@ -546,7 +391,7 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 			}
 		}
 		for _, tr := range runs {
-			if !tr.finalized && tr.view != nil {
+			if tr.view != nil {
 				tr.view.CopyFrom(tr.master)
 			}
 		}
@@ -554,25 +399,12 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 		// before allocation: resume re-enters this boundary, skips the
 		// already-finalized tasks, and re-runs the same Allocate call.
 		if opts.OnCheckpoint != nil && (finalized == len(specs) || totalMeasured-lastCp >= opts.CheckpointEvery) {
-			rcp := &Checkpoint{Version: CheckpointVersion, Driver: DriverRounds, Round: round,
-				Published: append([]int(nil), published...), Tasks: make([]TaskCheckpoint, len(specs))}
-			for i, tr := range runs {
-				tc := TaskCheckpoint{Index: i, Name: tr.spec.Task.Name, Rounds: tr.rounds,
-					ElapsedNS: int64(tr.elapsed), PrevMeasured: tr.prevMeas, PrevBest: tr.prevBest}
-				if tr.finalized {
-					st := outcomeState(outs[i])
-					tc.Outcome = &st
-				} else {
-					snap, err := snapshotSession(tr.sess, tr.spec.Task.Name, i)
-					if err != nil {
-						return doneOutcomes(outs, runs), err
-					}
-					tc.Session = snap
-				}
-				rcp.Tasks[i] = tc
+			cp, err := checkpoint(policy, round, runs, outs, published)
+			if err != nil {
+				return doneOutcomes(outs, runs), err
 			}
 			lastCp = totalMeasured
-			opts.OnCheckpoint(rcp)
+			opts.OnCheckpoint(cp)
 		}
 		if finalized == len(specs) {
 			return outs, nil
@@ -589,48 +421,23 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 				Best:   tr.best(), PrevBest: tr.prevBest,
 			}
 		}
-		grants := opts.Policy.Allocate(round, states)
-		type work struct {
-			tr   *taskRun
-			goal int
-		}
-		var wl []work
-		remaining := totalBudget - totalMeasured
-		for i, tr := range runs {
-			if tr.finalized {
-				continue
-			}
-			g := 0
-			if i < len(grants) {
-				g = grants[i]
-			}
-			g = min(g, tr.sessBudget-states[i].Measured, remaining)
-			if g <= 0 {
-				continue
-			}
-			remaining -= g
-			wl = append(wl, work{tr, states[i].Measured + g})
-		}
-		if len(wl) == 0 {
-			// Liveness guard: the policy granted nothing although budget and
-			// live tasks remain — advance every live task by one plan so the
-			// run always terminates.
-			for i, tr := range runs {
-				if tr.finalized {
-					continue
-				}
-				g := min(tr.planSize, tr.sessBudget-states[i].Measured)
-				if g < 1 {
-					g = 1
-				}
-				wl = append(wl, work{tr, states[i].Measured + g})
-			}
-		}
+		grants := capGrants(policy.Allocate(round, states), states, runs, totalBudget-totalMeasured)
+		var wl []*taskRun
 		for i, tr := range runs {
 			if !tr.finalized {
 				tr.prevMeas = states[i].Measured
 				tr.prevBest = states[i].Best
 			}
+			if grants[i] == 0 {
+				continue
+			}
+			if tr.sess == nil {
+				if err := openFresh(tr); err != nil {
+					return doneOutcomes(outs, runs), err
+				}
+			}
+			tr.goal = states[i].Measured + grants[i]
+			wl = append(wl, tr)
 		}
 
 		// ---- Execution --------------------------------------------------
@@ -639,8 +446,7 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 		// scheduled task always takes at least one step, so a session at its
 		// cap reports done rather than stalling forever.
 		par.For(len(wl), conc, func(j int) {
-			w := wl[j]
-			tr := w.tr
+			tr := wl[j]
 			start := time.Now() //lint:ignore walltime Outcome.Elapsed observability: per-task timing is reported, never scheduled on
 			if tctxs[tr.idx] == nil {
 				tctxs[tr.idx] = ctx
@@ -654,7 +460,7 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 					tr.done = true
 					break
 				}
-				if tr.sess.Measured() >= w.goal {
+				if tr.sess.Measured() >= tr.goal {
 					break
 				}
 			}
@@ -664,8 +470,54 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 	}
 }
 
+// newTaskRuns builds the per-task bookkeeping from the specs' normalized
+// options and returns it with the graph-wide budget.
+func newTaskRuns(specs []Spec, policy Policy) ([]*taskRun, int) {
+	runs := make([]*taskRun, len(specs))
+	totalBudget := 0
+	for i, sp := range specs {
+		nopts := sp.Opts.Normalized()
+		runs[i] = &taskRun{idx: i, spec: sp, master: sp.Opts.Transfer,
+			ownBudget: nopts.Budget, planSize: nopts.PlanSize}
+		totalBudget += nopts.Budget
+	}
+	for _, tr := range runs {
+		tr.sessBudget = policy.SessionBudget(tr.ownBudget, totalBudget)
+	}
+	return runs, totalBudget
+}
+
+// capGrants turns a policy's allocation into the round's work: each live
+// task's grant is capped by its session budget and by the graph-wide
+// budget still unspent, in task-index order. When that leaves nothing
+// granted although live tasks remain, the liveness guard advances every live
+// task by one plan so the run always terminates. The result is index-aligned
+// with states; 0 means the task sits the round out.
+func capGrants(alloc []int, states []TaskState, runs []*taskRun, remaining int) []int {
+	grants := make([]int, len(states))
+	granted := false
+	for i, st := range states {
+		if st.Done || i >= len(alloc) {
+			continue
+		}
+		if g := min(alloc[i], runs[i].sessBudget-st.Measured, remaining); g > 0 {
+			grants[i] = g
+			remaining -= g
+			granted = true
+		}
+	}
+	if !granted {
+		for i, st := range states {
+			if !st.Done {
+				grants[i] = max(1, min(st.PlanSize, runs[i].sessBudget-st.Measured))
+			}
+		}
+	}
+	return grants
+}
+
 // doneOutcomes returns the outcomes of tasks already finalized when a fatal
-// error aborts the round driver, in spec order.
+// error aborts the run, in spec order.
 func doneOutcomes(outs []Outcome, runs []*taskRun) []Outcome {
 	kept := make([]Outcome, 0, len(outs))
 	for i, tr := range runs {

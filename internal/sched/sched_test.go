@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -79,8 +80,9 @@ func sameOutcomes(a, b []Outcome) bool {
 	return true
 }
 
-// TestSequentialMatchesTuneChain: the sequential driver must behave exactly
-// like hand-driving Tune task after task with live transfer chaining.
+// TestSequentialMatchesTuneChain: the sequential policy must behave exactly
+// like hand-driving Tune task after task with live transfer chaining, each
+// task opening only after the previous one finished.
 func TestSequentialMatchesTuneChain(t *testing.T) {
 	tasks := schedTasks(t)
 	tn := tuner.NewAutoTVM()
@@ -95,25 +97,27 @@ func TestSequentialMatchesTuneChain(t *testing.T) {
 		want = append(want, Outcome{Index: i, Task: sp.Task, Result: res})
 	}
 
-	var starts, dones []string
+	var events []string
 	got, err := Run(context.Background(), tn, schedBackend(t, 3),
 		specsFor(tasks, 32, 5, 1, transfer.NewHistory()), Options{
-			OnTaskStart: func(i, n int, name string) { starts = append(starts, name) },
-			OnTaskDone:  func(o Outcome) { dones = append(dones, o.Task.Name) },
+			OnTaskStart: func(i, n int, name string) { events = append(events, "start "+name) },
+			OnTaskDone:  func(o Outcome) { events = append(events, "done "+o.Task.Name) },
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameOutcomes(want, got) {
-		t.Fatal("sequential driver differs from the hand-driven Tune chain")
+		t.Fatal("sequential policy differs from the hand-driven Tune chain")
 	}
-	for i, task := range tasks {
-		if starts[i] != task.Name || dones[i] != task.Name {
-			t.Fatalf("callback order: starts=%v dones=%v", starts, dones)
-		}
+	var order []string
+	for _, task := range tasks {
+		order = append(order, "start "+task.Name, "done "+task.Name)
+	}
+	if fmt.Sprint(events) != fmt.Sprint(order) {
+		t.Fatalf("callback order %q, want %q", events, order)
 	}
 	for _, o := range got {
-		if o.Rounds != 1 || o.Elapsed < 0 {
+		if o.Rounds < 1 || o.Elapsed < 0 {
 			t.Fatalf("outcome bookkeeping: rounds=%d elapsed=%v", o.Rounds, o.Elapsed)
 		}
 	}
@@ -122,7 +126,7 @@ func TestSequentialMatchesTuneChain(t *testing.T) {
 // TestUniformGridInvariance is the scheduler's tentpole contract: with the
 // uniform policy and transfer off, outcomes are bit-identical across every
 // Workers x TaskConcurrency combination — including concurrency 1, which
-// runs the sequential driver.
+// runs the sequential policy.
 func TestUniformGridInvariance(t *testing.T) {
 	tasks := schedTasks(t)
 	tn := tuner.GATuner{}
@@ -152,7 +156,7 @@ func TestUniformGridInvariance(t *testing.T) {
 	}
 }
 
-// TestTransferRoundInvariance: with transfer on, the round driver's
+// TestTransferRoundInvariance: with transfer on, the round-boundary
 // snapshot history makes outcomes identical for every concurrency > 1 and
 // worker count.
 func TestTransferRoundInvariance(t *testing.T) {
@@ -178,9 +182,9 @@ func TestTransferRoundInvariance(t *testing.T) {
 	}
 }
 
-// TestAdaptiveInvariance: the adaptive policy routes through the round
-// driver at every concurrency, so its outcomes too are invariant across the
-// whole grid, transfer included.
+// TestAdaptiveInvariance: the adaptive policy runs as itself at every
+// concurrency, so its outcomes too are invariant across the whole grid,
+// transfer included.
 func TestAdaptiveInvariance(t *testing.T) {
 	tasks := schedTasks(t)
 	tn := tuner.RandomTuner{}
@@ -215,8 +219,9 @@ func TestAdaptiveInvariance(t *testing.T) {
 	}
 }
 
-// TestParentCancellation: a cancelled parent context aborts both drivers
-// with an error, like the legacy pipeline.
+// TestParentCancellation: a cancelled parent context aborts the run with an
+// error under both the sequential and the concurrent schedule, like the
+// legacy pipeline.
 func TestParentCancellation(t *testing.T) {
 	tasks := schedTasks(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -237,7 +242,7 @@ func TestParentCancellation(t *testing.T) {
 }
 
 // TestTaskDeadlineFatal: a deadline so short that a task finds nothing is a
-// fatal TaskError in both drivers.
+// fatal TaskError under both the sequential and the concurrent schedule.
 func TestTaskDeadlineFatal(t *testing.T) {
 	tasks := schedTasks(t)
 	for _, conc := range []int{1, 2} {
@@ -288,6 +293,27 @@ func TestRoundDriverCompletionEvents(t *testing.T) {
 		if idx != i {
 			t.Fatalf("completion order %v not index-ordered", order)
 		}
+	}
+}
+
+// TestBudgetSpentBeforeFirstGrant: when plans outsize the pooled budget, the
+// adaptive policy's first round leaves the last task ungranted and the
+// budget is gone at the next boundary. That task still opens and reports
+// the empty-handed result its Tune call would, which is fatal.
+func TestBudgetSpentBeforeFirstGrant(t *testing.T) {
+	tasks := schedTasks(t)
+	var started []int
+	specs := specsFor(tasks, 4, 3, 1, nil)
+	_, err := Run(context.Background(), tuner.RandomTuner{}, schedBackend(t, 1), specs, Options{
+		TaskConcurrency: 3, Policy: AdaptivePolicy{},
+		OnTaskStart: func(i, n int, name string) { started = append(started, i) },
+	})
+	var te *TaskError
+	if !errors.As(err, &te) || te.Index != 2 || !errors.Is(err, tuner.ErrNoValidConfig) {
+		t.Fatalf("error %v, want a no-valid-config TaskError for task 2", err)
+	}
+	if fmt.Sprint(started) != "[1 2 3]" {
+		t.Fatalf("tasks started %v, want [1 2 3]", started)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSharedCacheAcrossTuners is the cmd/compare memoization contract: a
-// (tuner, seed) grid sharing one Cache issues strictly fewer raw simulator
+// (tuner, seed) grid sharing one SharedCache issues strictly fewer raw simulator
 // calls than the sum of its runs — BTED and BTED+BAO at the same run seed
 // share their entire initialization set — while every run's samples stay
 // bit-identical to an uncached run.
@@ -27,7 +27,8 @@ func TestSharedCacheAcrossTuners(t *testing.T) {
 	}
 
 	counting := backend.NewCounting(sim(60))
-	cache := backend.NewCache(counting)
+	sc := backend.NewSharedCache(0)
+	cache := backend.WithShared(counting, sc)
 	for i, tn := range grid {
 		res, err := tn.Tune(context.Background(), task, cache, opts)
 		if err != nil {
@@ -40,12 +41,13 @@ func TestSharedCacheAcrossTuners(t *testing.T) {
 	if counting.Calls() >= int64(total) {
 		t.Fatalf("cache saved nothing: %d raw calls for %d measurements", counting.Calls(), total)
 	}
-	if cache.Hits() == 0 {
+	hits := sc.Stats().Hits
+	if hits == 0 {
 		t.Fatal("no cache hits across the grid")
 	}
-	if counting.Calls()+cache.Hits() < int64(total) {
+	if counting.Calls()+hits < int64(total) {
 		t.Fatalf("accounting broken: %d raw + %d hits < %d measurements",
-			counting.Calls(), cache.Hits(), total)
+			counting.Calls(), hits, total)
 	}
 }
 
@@ -54,7 +56,7 @@ func TestSharedCacheAcrossTuners(t *testing.T) {
 func TestCachedRerunIsFree(t *testing.T) {
 	task := testTask(t)
 	counting := backend.NewCounting(sim(61))
-	cache := backend.NewCache(counting)
+	cache := backend.WithShared(counting, backend.NewSharedCache(0))
 	opts := quickOpts(40, 19)
 
 	first, err := NewAutoTVM().Tune(context.Background(), task, cache, opts)
