@@ -6,6 +6,8 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/backend"
 )
 
 // drain consumes a subscription until the stream completes, returning every
@@ -135,6 +137,53 @@ func TestManagerCrashResumeCheckpoint(t *testing.T) {
 	got := readFileBytes(t, store2.LogPath(id))
 	if !bytes.Equal(want, got) {
 		t.Fatalf("served record log differs from uninterrupted run: %d vs %d bytes", len(want), len(got))
+	}
+}
+
+// TestManagerSharedCacheSeededByteIdentical: the fleet-wide measurement
+// memo is observationally invisible. Two jobs of one seeded spec run one
+// after the other through a manager with a shared cache; the second is
+// served from the first's measurements, yet both record logs must be
+// byte-identical to each other and to a runner-level run without the cache.
+func TestManagerSharedCacheSeededByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec(2039)
+
+	refLog := filepath.Join(dir, "ref.jsonl")
+	if _, err := Run(context.Background(), spec, RunOptions{LogPath: refLog}); err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	store, err := OpenStore(filepath.Join(dir, "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManagerWith(store, ManagerOptions{Concurrency: 1, Shared: backend.NewSharedCache(0)})
+	defer mgr.Close()
+	ids := []string{"cold", "warm"}
+	for _, id := range ids {
+		if _, err := mgr.Submit(Submit{ID: id, Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := readFileBytes(t, refLog)
+	for _, id := range ids {
+		sub, err := mgr.Subscribe(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(t, sub)
+		sub.Close()
+		if st := mustStatus(t, mgr, id); st.State != StateDone {
+			t.Fatalf("job %s ended %s, want done", id, st.State)
+		}
+		if got := readFileBytes(t, store.LogPath(id)); !bytes.Equal(want, got) {
+			t.Fatalf("job %s record log differs from the uncached run: %d vs %d bytes", id, len(got), len(want))
+		}
+	}
+	stats, ok := mgr.SharedCacheStats()
+	if !ok || stats.Hits == 0 {
+		t.Fatalf("shared cache stats %+v (ok=%v), want hits > 0", stats, ok)
 	}
 }
 

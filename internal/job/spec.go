@@ -173,7 +173,7 @@ func (s Spec) Extract() graph.ExtractOpts {
 }
 
 // NewTuner constructs a tuner by its CLI name — the one name→constructor
-// table shared by cmd/tune, cmd/bench, cmd/compare, and the service.
+// table shared by cmd/tune, cmd/compare, the service, and perfbench.
 func NewTuner(name string) (tuner.Tuner, error) {
 	switch name {
 	case "autotvm":

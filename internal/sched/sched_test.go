@@ -126,33 +126,35 @@ func TestSequentialMatchesTuneChain(t *testing.T) {
 // TestUniformGridInvariance is the scheduler's tentpole contract: with the
 // uniform policy and transfer off, outcomes are bit-identical across every
 // Workers x TaskConcurrency combination — including concurrency 1, which
-// runs the sequential policy.
+// runs the sequential policy. autotvm adds the model-based path (SA over
+// the compiled surrogate ensemble) to GA's model-free one.
 func TestUniformGridInvariance(t *testing.T) {
 	tasks := schedTasks(t)
-	tn := tuner.GATuner{}
-	var ref []Outcome
-	for _, workers := range []int{1, 4, 8} {
-		for _, conc := range []int{1, 2, 4} {
-			outs, err := Run(context.Background(), tn, schedBackend(t, 7),
-				specsFor(tasks, 40, 11, workers, nil), Options{TaskConcurrency: conc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = outs
-				continue
-			}
-			if !sameOutcomes(ref, outs) {
-				t.Fatalf("outcomes differ at workers=%d conc=%d", workers, conc)
+	for _, tn := range []tuner.Opener{tuner.GATuner{}, tuner.NewAutoTVM()} {
+		var ref []Outcome
+		for _, workers := range []int{1, 4, 8} {
+			for _, conc := range []int{1, 2, 4} {
+				outs, err := Run(context.Background(), tn, schedBackend(t, 7),
+					specsFor(tasks, 40, 11, workers, nil), Options{TaskConcurrency: conc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = outs
+					continue
+				}
+				if !sameOutcomes(ref, outs) {
+					t.Fatalf("%s: outcomes differ at workers=%d conc=%d", tn.Name(), workers, conc)
+				}
 			}
 		}
-	}
-	total := 0
-	for _, o := range ref {
-		total += o.Result.Measurements
-	}
-	if total != 3*40 {
-		t.Fatalf("total measurements %d, want %d", total, 3*40)
+		total := 0
+		for _, o := range ref {
+			total += o.Result.Measurements
+		}
+		if total != 3*40 {
+			t.Fatalf("%s: total measurements %d, want %d", tn.Name(), total, 3*40)
+		}
 	}
 }
 

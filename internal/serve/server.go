@@ -1,6 +1,6 @@
 // Package serve is the HTTP face of a job.Manager: the request routing,
 // error mapping, and SSE fan-out of the tuning daemon, factored out of
-// cmd/served so the load benchmark (cmd/bench -served) can drive the real
+// cmd/served so the repository benchmark (perfbench) can drive the real
 // daemon over loopback HTTP in-process. The handlers hold no state of
 // their own — every request reads or mutates the manager — so the HTTP
 // layer can be rebuilt at will around any manager.
