@@ -84,10 +84,11 @@ serve-smoke:
 		{ echo "serve-smoke: served record stream differs from cmd/tune's for the same spec/seed"; exit 1; }; \
 	echo "serve-smoke: ok ($$n records, byte-identical to cmd/tune)"
 
-# Coverage gates: the scheduler, the checkpoint codec, and the job
-# lifecycle layer must each stay >= 80% covered by their own tests.
+# Coverage gates: the scheduler, the checkpoint codec, the job lifecycle
+# layer, and the tuner session layer must each stay >= 80% covered by their
+# own tests.
 cover:
-	@for pkg in internal/sched internal/snap internal/job; do \
+	@for pkg in internal/sched internal/snap internal/job internal/tuner; do \
 		name=$$(basename $$pkg); \
 		$(GO) test -coverprofile=/tmp/$${name}_cover.out ./$$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=/tmp/$${name}_cover.out | awk '/^total:/ {sub("%","",$$3); print $$3}'); \

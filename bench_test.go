@@ -229,7 +229,7 @@ func Benchmark_EndToEnd_Quickstart(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		bk := backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), int64(i)))
-		res, err := tuner.NewBTEDBAO().Tune(context.Background(), task, bk, tuner.Options{
+		res, err := tuner.Tune(context.Background(), tuner.NewBTEDBAO(), task, bk, tuner.Options{
 			Budget: 96, EarlyStop: -1, PlanSize: 24, Seed: int64(i),
 		})
 		if err != nil {

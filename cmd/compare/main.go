@@ -165,7 +165,7 @@ func run(ctx context.Context, model string, taskIdx int, workloadSpec, deviceNam
 		if err != nil {
 			return // validated above; unreachable
 		}
-		res, err := tn.Tune(ctx, task, cache, tuner.Options{
+		res, err := tuner.Tune(ctx, tn, task, cache, tuner.Options{
 			Budget: budget, EarlyStop: -1, PlanSize: plan, Seed: int64(7 + si*1000),
 			Workers: workers,
 		})

@@ -368,7 +368,7 @@ func runModel(ctx context.Context, w io.Writer, model string, cfg runConfig, see
 		OnTaskDone: func(e core.TaskEvent) {
 			elapsed[e.Name] = e.Elapsed
 			fmt.Fprintf(w, "[%2d/%2d] done   %s: %d measurements in %v\n",
-				e.Index, e.Total, e.Name, e.Measurements, e.Elapsed.Round(time.Millisecond))
+				e.Index, e.Total, e.Name, e.Result.Measurements, e.Elapsed.Round(time.Millisecond))
 		},
 	}
 	if cfg.stopAfter > 0 {

@@ -34,7 +34,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		res, err := tuner.NewBTEDBAO().Tune(context.Background(), task, b, tuner.Options{
+		res, err := tuner.Tune(context.Background(), tuner.NewBTEDBAO(), task, b, tuner.Options{
 			Budget: 256, EarlyStop: 128, PlanSize: 32, Seed: int64(100 + i),
 		})
 		if err != nil {

@@ -42,7 +42,7 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			res, err := tn.Tune(context.Background(), task, b, tuner.Options{
+			res, err := tuner.Tune(context.Background(), tn, task, b, tuner.Options{
 				Budget:    192,
 				EarlyStop: 96,
 				PlanSize:  32,

@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		res, err := tn.Tune(ctx, task, b, opts)
+		res, err := tuner.Tune(ctx, tn, task, b, opts)
 		if err != nil {
 			panic(err)
 		}

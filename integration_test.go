@@ -106,11 +106,11 @@ func TestIntegration_GraphSerializationFeedsPipeline(t *testing.T) {
 		t.Fatal("space changed across serialization")
 	}
 	opts := tuner.Options{Budget: 20, EarlyStop: -1, PlanSize: 8, Seed: 5}
-	r1, err := tuner.NewAutoTVM().Tune(context.Background(), task1, backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 3)), opts)
+	r1, err := tuner.Tune(context.Background(), tuner.NewAutoTVM(), task1, backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 3)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := tuner.NewAutoTVM().Tune(context.Background(), task2, backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 3)), opts)
+	r2, err := tuner.Tune(context.Background(), tuner.NewAutoTVM(), task2, backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 3)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

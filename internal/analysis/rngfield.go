@@ -11,12 +11,13 @@ import (
 // (*rand.Rand, or the rand.Source/Source64 interfaces). A *rand.Rand's
 // internal state is unexported and cannot be serialized, so a checkpoint of
 // such a struct either drops the generator or diverges on restore; the
-// serializable-session work (internal/snap, tuner.Snapshotter) depends on
-// every piece of session state round-tripping. State that needs randomness
-// must carry a counted source (repro/internal/rng), whose (seed, draws)
-// state is a plain serializable value. Transient structs that merely pass a
-// generator through a computation are fine — and, when their name collides
-// with the suffix list, can say so with a //lint:ignore rngfield directive.
+// serializable-session work (internal/snap, tuner.Session.Snapshot)
+// depends on every piece of session state round-tripping. State that needs
+// randomness must carry a counted source (repro/internal/rng), whose
+// (seed, draws) state is a plain serializable value. Transient structs that
+// merely pass a generator through a computation are fine — and, when their
+// name collides with the suffix list, can say so with a //lint:ignore
+// rngfield directive.
 type RNGField struct{}
 
 // Name implements Analyzer.

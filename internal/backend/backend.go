@@ -20,17 +20,18 @@ import (
 // Backend is the deployment environment a tuning session measures against.
 //
 // MeasureSeeded is the contract of the deterministic parallel measurement
-// engine: when Seeded reports true, it must return a result that depends
-// only on (workload, config, noiseSeed) — never on call order or the
-// calling goroutine — and must be safe for concurrent use. When Seeded
-// reports false only Measure is meaningful and callers must keep the
-// measurement order serial (the noise stream is shared).
+// engine: it must return a result that depends only on (workload, config,
+// noiseSeed) — never on call order or the calling goroutine — and must be
+// safe for concurrent use. The tuning stack measures only through
+// MeasureSeeded and refuses a backend whose Seeded reports false (a tuner
+// session fails to open); Measure is the direct one-off call for code that
+// deploys a configuration outside a tuning run (examples/customop).
 type Backend interface {
 	// Name identifies the backend stack, e.g. "gtx1080ti" or
 	// "cache(gtx1080ti)".
 	Name() string
 	// Seeded reports whether MeasureSeeded is order-independent and
-	// concurrency-safe.
+	// concurrency-safe; tuning requires it.
 	Seeded() bool
 	// Measure deploys (workload, config) once, drawing run-to-run noise
 	// from the backend's shared stream.

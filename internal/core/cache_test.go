@@ -10,14 +10,12 @@ import (
 )
 
 // TestPipelineCacheSavesRemeasurements is the core-layer memoization
-// contract: with re-measure-top-K enabled, every top-K config's repeat 0
-// reuses the tuning run's noise seed, so layering a SharedCache over the backend
-// must issue strictly fewer raw simulator calls than the uncached pipeline
-// while leaving the deployment bit-identical.
+// contract: every re-measured top-K config's repeat 0 reuses the tuning
+// run's noise seed, so layering a SharedCache over the backend must issue
+// strictly fewer raw simulator calls than the uncached pipeline while
+// leaving the deployment bit-identical.
 func TestPipelineCacheSavesRemeasurements(t *testing.T) {
 	opts := quickPipelineOpts(24)
-	opts.ReMeasureTopK = 4
-	opts.ReMeasureRepeats = 3
 
 	run := func(b backend.Backend) *Deployment {
 		dep, err := OptimizeGraph(context.Background(), tinyGraph(), tuner.NewAutoTVM(), b, opts)

@@ -47,15 +47,6 @@ type PipelineOptions struct {
 	// Runs is the number of end-to-end inference simulations used for the
 	// latency statistics (paper: 600).
 	Runs int
-	// ReMeasureTopK / ReMeasureRepeats: before deployment, the top-K
-	// distinct configurations of each task are re-measured Repeats times
-	// and the best mean wins. Single noisy measurements suffer a winner's
-	// curse (a mediocre high-variance config gets one lucky reading and is
-	// deployed); re-measuring the short list is what AutoTVM's
-	// pick-best-from-log flow does in practice. Defaults 5 and 3;
-	// ReMeasureTopK < 0 disables re-measurement.
-	ReMeasureTopK    int
-	ReMeasureRepeats int
 	// TaskDeadline bounds each task's tuning wall clock. When it expires
 	// the task stops searching and deploys the best configuration found
 	// within the deadline; a task that found nothing valid is an error.
@@ -82,8 +73,7 @@ type PipelineOptions struct {
 	// classic pipeline bit-identically, including live transfer-learning
 	// chaining. Values > 1 interleave tasks in deterministic rounds with
 	// transfer history snapshotted at round boundaries; results are then
-	// identical for every such value and every worker count. Unseeded
-	// backends always execute one task at a time.
+	// identical for every such value and every worker count.
 	TaskConcurrency int
 	// BudgetPolicy selects the scheduler's budget policy by name: "" or
 	// "uniform" gives every task its own budget (legacy behaviour);
@@ -102,9 +92,7 @@ type PipelineOptions struct {
 	// pipeline with the same model, tuner, backend seeds, and options the
 	// original run used (including Resume records, if any); restored
 	// outcomes are returned without re-firing OnTaskDone, and their
-	// deployment configurations are re-selected deterministically. Only
-	// seeded backends continue bit-identically: an unseeded backend's
-	// shared noise-stream position is not part of the checkpoint.
+	// deployment configurations are re-selected deterministically.
 	ResumeCheckpoint *sched.Checkpoint
 }
 
@@ -125,8 +113,6 @@ type TaskEvent struct {
 	Err error
 	// Elapsed is the wall clock spent tuning the task.
 	Elapsed time.Duration
-	// Measurements is the task's measurement count (== Result.Measurements).
-	Measurements int
 	// Deployed is the configuration chosen for deployment (after the
 	// re-measurement short list).
 	Deployed space.Config
@@ -248,21 +234,16 @@ func OptimizeGraph(ctx context.Context, g *graph.Graph, tn tuner.Tuner, b backen
 		Policy:          policy,
 		TaskDeadline:    opts.TaskDeadline,
 		OnTaskDone: func(o sched.Outcome) {
-			// Runs on the scheduler's driver goroutine, in completion order:
-			// under the sequential policy that is exactly the legacy sequence
-			// "tune task, select deployment, tune next task", which keeps
-			// unseeded backends' shared noise stream in the legacy order.
+			// Runs on the scheduler's driver goroutine, in completion order.
 			task := specs[o.Index].Task
-			deployed := selectDeployConfig(task, o.Result, b,
-				specs[o.Index].Opts.Seed, opts.ReMeasureTopK, opts.ReMeasureRepeats)
+			deployed := selectDeployConfig(task, o.Result, b, specs[o.Index].Opts.Seed)
 			taskOuts[o.Index] = TaskOutcome{Task: task, Result: o.Result, Deployed: deployed}
 			hdeps[o.Index] = hwsim.Deployment{Workload: task.Workload, Config: deployed, Count: task.Count}
 			if opts.OnTaskDone != nil {
 				cbMu.Lock()
 				opts.OnTaskDone(TaskEvent{
 					Index: o.Index + 1, Total: len(specs), Name: task.Name,
-					Result: o.Result, Err: o.Err, Elapsed: o.Elapsed,
-					Measurements: o.Result.Measurements, Deployed: deployed,
+					Result: o.Result, Err: o.Err, Elapsed: o.Elapsed, Deployed: deployed,
 				})
 				cbMu.Unlock()
 			}
@@ -285,7 +266,7 @@ func OptimizeGraph(ctx context.Context, g *graph.Graph, tn tuner.Tuner, b backen
 		}
 	}
 
-	outs, err := sched.Run(ctx, tuner.AsOpener(tn), b, specs, sopts)
+	outs, err := sched.Run(ctx, tn, b, specs, sopts)
 	if err != nil {
 		var te *sched.TaskError
 		if errors.As(err, &te) {
@@ -296,15 +277,14 @@ func OptimizeGraph(ctx context.Context, g *graph.Graph, tn tuner.Tuner, b backen
 	// Outcomes restored from a resumed checkpoint never pass through
 	// OnTaskDone (scheduler callbacks fire only for post-checkpoint events),
 	// so their deployment selections are filled in here. selectDeployConfig
-	// derives per-config measurement seeds on seeded backends, making the
-	// late selection bit-identical to the original boundary-time one.
+	// derives per-config measurement seeds, making the late selection
+	// bit-identical to the original boundary-time one.
 	for _, o := range outs {
 		if taskOuts[o.Index].Task != nil {
 			continue
 		}
 		task := specs[o.Index].Task
-		deployed := selectDeployConfig(task, o.Result, b,
-			specs[o.Index].Opts.Seed, opts.ReMeasureTopK, opts.ReMeasureRepeats)
+		deployed := selectDeployConfig(task, o.Result, b, specs[o.Index].Opts.Seed)
 		taskOuts[o.Index] = TaskOutcome{Task: task, Result: o.Result, Deployed: deployed}
 		hdeps[o.Index] = hwsim.Deployment{Workload: task.Workload, Config: deployed, Count: task.Count}
 	}
@@ -383,35 +363,36 @@ func ApplyRecords(model string, recs []record.Record, b backend.Backend, extract
 	return b.NetworkLatency(deps, runs)
 }
 
-// selectDeployConfig re-measures the task's top-K distinct configurations
-// `repeats` times each and returns the one with the best mean GFLOPS. With
-// topK < 0 (or degenerate parameters) it returns the tuner's raw best.
-// On a seeded backend the repeats draw deterministic per-repeat noise
-// seeds, with repeat 0 reusing the tuning run's own seed for the config —
-// so a memoizing cache serves it without a fresh simulator call and the
-// whole re-measurement is worker- and order-independent.
-func selectDeployConfig(task *tuner.Task, res tuner.Result, b backend.Backend, runSeed int64, topK, repeats int) space.Config {
-	if topK < 0 {
-		return res.Best.Config
-	}
-	if topK == 0 {
-		topK = 5
-	}
-	if repeats <= 0 {
-		repeats = 3
-	}
+// Before deployment, the top remeasureTopK distinct configurations of each
+// task are re-measured remeasureRepeats times and the best mean wins.
+// Single noisy measurements suffer a winner's curse (a mediocre
+// high-variance config gets one lucky reading and is deployed);
+// re-measuring the short list is what AutoTVM's pick-best-from-log flow
+// does in practice.
+const (
+	remeasureTopK    = 5
+	remeasureRepeats = 3
+)
+
+// selectDeployConfig re-measures the task's short list and returns the
+// configuration with the best mean GFLOPS (the tuner's raw best when no
+// candidate re-measures valid). The repeats draw deterministic per-repeat
+// noise seeds, with repeat 0 reusing the tuning run's own seed for the
+// config — so a memoizing cache serves it without a fresh simulator call
+// and the whole re-measurement is worker- and order-independent.
+func selectDeployConfig(task *tuner.Task, res tuner.Result, b backend.Backend, runSeed int64) space.Config {
 	// Distinct valid samples, best measured first.
 	ordered := append([]active.Sample(nil), res.Samples...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].GFLOPS > ordered[j].GFLOPS })
 	best := res.Best.Config
 	bestMean := -1.0
 	taken := 0
-	seen := make(map[uint64]bool, topK)
+	seen := make(map[uint64]bool, remeasureTopK)
 	for _, s := range ordered {
-		if !s.Valid || taken >= topK {
-			if taken >= topK {
-				break
-			}
+		if taken >= remeasureTopK {
+			break
+		}
+		if !s.Valid {
 			continue
 		}
 		f := s.Config.Flat()
@@ -421,14 +402,8 @@ func selectDeployConfig(task *tuner.Task, res tuner.Result, b backend.Backend, r
 		seen[f] = true
 		taken++
 		total, valid := 0.0, 0
-		for r := 0; r < repeats; r++ {
-			var mr hwsim.Measurement
-			if b.Seeded() {
-				mr = b.MeasureSeeded(task.Workload, s.Config, remeasureSeed(runSeed, f, r))
-			} else {
-				mr = b.Measure(task.Workload, s.Config)
-			}
-			if mr.Valid {
+		for r := 0; r < remeasureRepeats; r++ {
+			if mr := b.MeasureSeeded(task.Workload, s.Config, remeasureSeed(runSeed, f, r)); mr.Valid {
 				total += mr.GFLOPS
 				valid++
 			}

@@ -188,7 +188,7 @@ func TestInitSamplesOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tuner.RandomTuner{}.Tune(context.Background(), task, testBackend(t, 7), tuner.Options{Budget: 10, EarlyStop: -1, PlanSize: 4, Seed: 1})
+	res, err := tuner.Tune(context.Background(), tuner.RandomTuner{}, task, testBackend(t, 7), tuner.Options{Budget: 10, EarlyStop: -1, PlanSize: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestTaskEventDelivery(t *testing.T) {
 				t.Fatalf("conc=%d: duplicate or unnamed event %q", conc, e.Name)
 			}
 			seen[e.Name] = true
-			if e.Measurements != e.Result.Measurements || e.Measurements == 0 {
+			if e.Result.Measurements == 0 || e.Result.Measurements != dep.Tasks[e.Index-1].Result.Measurements {
 				t.Fatalf("conc=%d: measurement accounting: %+v", conc, e)
 			}
 			if e.Elapsed < 0 {

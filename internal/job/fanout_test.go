@@ -69,7 +69,7 @@ func TestFanoutSlowSubscribersNeverBlock(t *testing.T) {
 	}
 
 	// The job finishing at all is the non-blocking claim: 32 subscribers sit
-	// on full notification channels the whole run and the runner's OnRecord
+	// on full notification channels the whole run and the runner's OnRecordLine
 	// path must not care.
 	wg.Wait()
 	st := mustStatus(t, mgr, id)

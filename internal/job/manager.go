@@ -63,7 +63,7 @@ type Status struct {
 
 // managed is the Manager's per-job state. Mutable fields are guarded by
 // the Manager mutex; the record tail has its own lock because the runner's
-// OnRecord fan-out must not contend with queue operations.
+// OnRecordLine fan-out must not contend with queue operations.
 type managed struct {
 	id      string
 	spec    Spec // effective spec: seed resolved, normalized

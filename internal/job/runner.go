@@ -2,7 +2,6 @@ package job
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"time"
 
@@ -22,8 +21,7 @@ type RunOptions struct {
 	// most one in-progress batch.
 	LogPath string
 	// CheckpointPath, when set, appends a self-contained checkpoint frame
-	// at scheduler boundaries (cadence: Spec.CheckpointEvery). Requires a
-	// seeded backend.
+	// at scheduler boundaries (cadence: Spec.CheckpointEvery).
 	CheckpointPath string
 	// ResumeRecords warm-starts matching tasks from a previous run's log
 	// (they are never re-measured). Mutually exclusive with
@@ -40,15 +38,13 @@ type RunOptions struct {
 	// convenience only — deadline expiry is load-dependent, so the service
 	// never sets it.
 	TaskDeadline time.Duration
-	// OnRecord, when non-nil, receives every measurement after it is
-	// appended to the log (if any) — the manager's live fan-out hook. Like
-	// all pipeline callbacks it is mutex-serialized by core.
-	OnRecord func(record.Record)
-	// OnRecordLine, when non-nil, receives each record's canonical wire
-	// bytes (record.Line) alongside the decoded record. The line is the
-	// same allocation that fed the log — encoded exactly once per record —
-	// and must be treated as immutable by the receiver. Serialized like
-	// OnRecord.
+	// OnRecordLine, when non-nil, receives every measurement after it is
+	// appended to the log (if any), with the record's canonical wire bytes
+	// (record.Line) alongside the decoded record — the manager's live
+	// fan-out hook. The line is the same allocation that fed the log —
+	// encoded exactly once per record — and must be treated as immutable by
+	// the receiver. Like all pipeline callbacks it is mutex-serialized by
+	// core.
 	OnRecordLine func(rec record.Record, line []byte)
 	// Shared, when non-nil, layers the fleet-wide measurement memo over the
 	// job's backend. Cache hits are bit-identical to re-measuring (see
@@ -98,11 +94,6 @@ func Run(ctx context.Context, spec Spec, opts RunOptions) (res *RunResult, err e
 		return res, err
 	}
 	res.Backend = b
-	if (opts.CheckpointPath != "" || opts.ResumeCheckpoint != nil) && !b.Seeded() {
-		// An unseeded backend's shared noise-stream position is not part of
-		// any checkpoint, so a resumed run could not continue bit-identically.
-		return res, fmt.Errorf("checkpointing requires a seeded backend; %s is not", spec.Device)
-	}
 	resumeCp := opts.ResumeCheckpoint
 	if resumeCp != nil {
 		if err := resumeCp.Validate(spec); err != nil {
@@ -158,7 +149,7 @@ func Run(ctx context.Context, spec Spec, opts RunOptions) (res *RunResult, err e
 			}
 		}()
 	}
-	if sw != nil || opts.OnRecord != nil || opts.OnRecordLine != nil {
+	if sw != nil || opts.OnRecordLine != nil {
 		popts.OnRecord = func(rec record.Record) {
 			// Encode once: the same wire bytes feed the log and every live
 			// subscriber. Encoding a Record cannot realistically fail (plain
@@ -178,9 +169,6 @@ func Run(ctx context.Context, spec Spec, opts RunOptions) (res *RunResult, err e
 			}
 			if lerr == nil && opts.OnRecordLine != nil {
 				opts.OnRecordLine(rec, line)
-			}
-			if opts.OnRecord != nil {
-				opts.OnRecord(rec)
 			}
 		}
 	}

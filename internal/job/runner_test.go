@@ -59,7 +59,7 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 	killed, err := Run(ctx, spec, RunOptions{
 		LogPath:        log,
 		CheckpointPath: cpPath,
-		OnRecord:       func(record.Record) { streamed++ },
+		OnRecordLine:   func(record.Record, []byte) { streamed++ },
 		AfterCheckpoint: func(n int) {
 			if n >= 2 {
 				cancel()
@@ -73,7 +73,7 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("interrupted run did not flush its log: %+v", killed)
 	}
 	if streamed != killed.Records {
-		t.Errorf("OnRecord saw %d records, log flushed %d", streamed, killed.Records)
+		t.Errorf("OnRecordLine saw %d records, log flushed %d", streamed, killed.Records)
 	}
 	if kind, err := snap.Detect(cpPath); err != nil || kind != snap.KindSnap {
 		t.Fatalf("snap.Detect(checkpoint) = %v, %v", kind, err)

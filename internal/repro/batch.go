@@ -41,7 +41,7 @@ func Batch(ctx context.Context, cfg Config) (*BatchResult, error) {
 			return tuner.Result{}, nil, err
 		}
 		b := newBackend(seed)
-		r, err := tuner.NewBTEDBAO().Tune(ctx, task, b, tuner.Options{
+		r, err := tuner.Tune(ctx, tuner.NewBTEDBAO(), task, b, tuner.Options{
 			Budget:    cfg.Budget,
 			EarlyStop: cfg.EarlyStop,
 			PlanSize:  cfg.PlanSize,

@@ -49,7 +49,7 @@ func CrossDevice(ctx context.Context, cfg Config, deviceNames []string) (*CrossD
 	for i, d := range devices {
 		cfg.progress("crossdev tuning on %s", d.Name)
 		b := backend.Wrap(deviceNames[i], hwsim.NewSimulator(d, cfg.Seed+int64(i)))
-		r, err := tuner.NewBTEDBAO().Tune(ctx, task, b, tuner.Options{
+		r, err := tuner.Tune(ctx, tuner.NewBTEDBAO(), task, b, tuner.Options{
 			Budget:    cfg.Budget,
 			EarlyStop: cfg.EarlyStop,
 			PlanSize:  cfg.PlanSize,

@@ -122,7 +122,7 @@ func newBackend(seed int64) backend.Backend {
 // count — but cancellation and every other failure propagate so study loops
 // abort promptly.
 func tuneTrial(ctx context.Context, tn tuner.Tuner, task *tuner.Task, b backend.Backend, opts tuner.Options) (tuner.Result, error) {
-	r, err := tn.Tune(ctx, task, b, opts)
+	r, err := tuner.Tune(ctx, tn, task, b, opts)
 	if err != nil && !errors.Is(err, tuner.ErrNoValidConfig) {
 		return r, err
 	}

@@ -43,7 +43,7 @@ func driverName(policy Policy) string {
 // Everything else a resumed run needs is either in here or derivable:
 //
 //   - Live sessions ride as tuner.SessionState snapshots and are rebuilt
-//     via tuner.Opener.Restore.
+//     via tuner.Tuner.Open.
 //   - Finalized tasks ride as OutcomeState; their transfer publications are
 //     replayed into the caller's (fresh) master history in Published order,
 //     and the per-task views are re-cloned from the rebuilt master — the
@@ -169,7 +169,7 @@ func (tc *TaskCheckpoint) restoreOutcome(task *tuner.Task) (Outcome, error) {
 // schema version, same driver stamp (the caller must resume with the same
 // concurrency and policy selection), and the same task list in the same
 // order. Per-session mismatches — seed, tuner name, snapshot schema — are
-// caught downstream by tuner.Opener.Restore.
+// caught downstream by tuner.Tuner.Open.
 func (cp *Checkpoint) validate(driver string, specs []Spec) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("sched: resume: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
@@ -188,22 +188,6 @@ func (cp *Checkpoint) validate(driver string, specs []Spec) error {
 	return nil
 }
 
-// snapshotSession captures one live session, failing with a TaskError when
-// the session cannot snapshot (a third-party tuner wrapped by
-// tuner.AsOpener) or refuses to.
-func snapshotSession(sess tuner.Session, name string, idx int) (*tuner.SessionState, error) {
-	snap, ok := sess.(tuner.Snapshotter)
-	if !ok {
-		return nil, &TaskError{TaskName: name, Index: idx,
-			Err: fmt.Errorf("checkpoint: %w", tuner.ErrSnapshotUnsupported)}
-	}
-	st, err := snap.Snapshot()
-	if err != nil {
-		return nil, &TaskError{TaskName: name, Index: idx, Err: err}
-	}
-	return &st, nil
-}
-
 // checkpoint captures the run at a round boundary: outcomes of finalized
 // tasks, snapshots of live sessions, and bare bookkeeping for tasks that have
 // not opened yet.
@@ -218,11 +202,11 @@ func checkpoint(policy Policy, round int, runs []*taskRun, outs []Outcome, publi
 			st := outcomeState(outs[i])
 			tc.Outcome = &st
 		case tr.sess != nil:
-			snap, err := snapshotSession(tr.sess, tr.spec.Task.Name, i)
+			snap, err := tr.sess.Snapshot()
 			if err != nil {
-				return nil, err
+				return nil, &TaskError{TaskName: tr.spec.Task.Name, Index: i, Err: err}
 			}
-			tc.Session = snap
+			tc.Session = &snap
 		}
 		cp.Tasks[i] = tc
 	}

@@ -43,7 +43,7 @@ func serializedCheckpoint(t *testing.T, cp *Checkpoint) *Checkpoint {
 
 // runCollectingCheckpoints runs the scheduler with a checkpoint at every
 // boundary, returning the outcomes and the captured checkpoints.
-func runCollectingCheckpoints(t *testing.T, tn tuner.Opener, seed int64, specs []Spec, opts Options) ([]Outcome, []*Checkpoint) {
+func runCollectingCheckpoints(t *testing.T, tn tuner.Tuner, seed int64, specs []Spec, opts Options) ([]Outcome, []*Checkpoint) {
 	t.Helper()
 	var cps []*Checkpoint
 	opts.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }

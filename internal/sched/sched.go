@@ -1,6 +1,6 @@
 // Package sched is the deterministic graph-level scheduler behind the
-// pipeline: it opens one resumable tuner session per extracted task
-// (tuner.Opener) and advances them in rounds. Each round a budget policy
+// pipeline: it opens one resumable tuner session (*tuner.Session) per
+// extracted task and advances them in rounds. Each round a budget policy
 // grants tasks measurements, the granted tasks step concurrently (at most
 // TaskConcurrency at a time) while each session's planned batches still run
 // on the shared measurement pool, and the round boundary finalizes finished
@@ -39,10 +39,6 @@
 // under the adaptive policy) TaskConcurrency 1 gives the same outcomes too;
 // with transfer on, the sequential policy's live chaining differs from the
 // concurrent schedules' warm starts in snapshot granularity only.
-//
-// Unseeded backends draw noise from one shared stream, so concurrent task
-// stepping would interleave it nondeterministically; the scheduler degrades
-// their execution to one task at a time (round structure is unaffected).
 package sched
 
 import (
@@ -173,7 +169,7 @@ func resolve(opts Options, n int) (Policy, int) {
 type taskRun struct {
 	idx        int
 	spec       Spec
-	sess       tuner.Session     // nil until the task opens, and again once finalized
+	sess       *tuner.Session    // nil until the task opens, and again once finalized
 	master     *transfer.History // the spec's shared history, nil when transfer is off
 	view       *transfer.History // round-boundary snapshot the session reads
 	ownBudget  int               // the spec's normalized budget
@@ -213,20 +209,14 @@ func (tr *taskRun) best() float64 {
 
 // open starts the task's session — restored from st when non-nil — reading
 // a transfer view cloned from the master history as it stands now.
-func (tr *taskRun) open(ctx context.Context, tn tuner.Opener, b backend.Backend, st *tuner.SessionState) error {
+func (tr *taskRun) open(tn tuner.Tuner, b backend.Backend, st *tuner.SessionState) error {
 	nopts := tr.spec.Opts.Normalized()
 	nopts.Budget = tr.sessBudget
 	if tr.master != nil {
 		tr.view = tr.master.Clone()
 		nopts.Transfer = tr.view
 	}
-	var sess tuner.Session
-	var err error
-	if st != nil {
-		sess, err = tn.Restore(ctx, tr.spec.Task, b, nopts, *st)
-	} else {
-		sess, err = tn.Open(ctx, tr.spec.Task, b, nopts)
-	}
+	sess, err := tn.Open(tr.spec.Task, b, nopts, st)
 	if err != nil {
 		return &TaskError{TaskName: tr.spec.Task.Name, Index: tr.idx, Err: err}
 	}
@@ -243,17 +233,11 @@ func (tr *taskRun) open(ctx context.Context, tn tuner.Opener, b backend.Backend,
 // and re-snapshots the transfer views. A session opens at its task's first
 // grant and is released when the task is finalized, so the sequential policy
 // holds one live session at a time.
-func Run(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, opts Options) ([]Outcome, error) {
+func Run(ctx context.Context, tn tuner.Tuner, b backend.Backend, specs []Spec, opts Options) ([]Outcome, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
 	policy, conc := resolve(opts, len(specs))
-	if !b.Seeded() {
-		// One shared noise stream: round structure stays policy-driven but
-		// step execution must be serial (and is then deterministic, since
-		// rounds visit tasks in index order).
-		conc = 1
-	}
 	runs, totalBudget := newTaskRuns(specs, policy)
 	defer func() {
 		for _, tr := range runs {
@@ -312,7 +296,7 @@ func Run(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, 
 		// so their views clone the content the original sessions read.
 		for i, tr := range runs {
 			if st := cp.Tasks[i].Session; st != nil && !tr.finalized {
-				if err := tr.open(ctx, tn, b, st); err != nil {
+				if err := tr.open(tn, b, st); err != nil {
 					return nil, err
 				}
 			}
@@ -328,7 +312,7 @@ func Run(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, 
 		if opts.OnTaskStart != nil {
 			opts.OnTaskStart(tr.idx+1, len(specs), tr.spec.Task.Name)
 		}
-		return tr.open(ctx, tn, b, nil)
+		return tr.open(tn, b, nil)
 	}
 
 	// Per-task stepping contexts (parent ctx, optionally under the task

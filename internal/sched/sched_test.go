@@ -90,7 +90,7 @@ func TestSequentialMatchesTuneChain(t *testing.T) {
 	hist := transfer.NewHistory()
 	var want []Outcome
 	for i, sp := range specsFor(tasks, 32, 5, 1, hist) {
-		res, err := tn.Tune(context.Background(), sp.Task, schedBackend(t, 3), sp.Opts)
+		res, err := tuner.Tune(context.Background(), tn, sp.Task, schedBackend(t, 3), sp.Opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestSequentialMatchesTuneChain(t *testing.T) {
 // the compiled surrogate ensemble) to GA's model-free one.
 func TestUniformGridInvariance(t *testing.T) {
 	tasks := schedTasks(t)
-	for _, tn := range []tuner.Opener{tuner.GATuner{}, tuner.NewAutoTVM()} {
+	for _, tn := range []tuner.Tuner{tuner.GATuner{}, tuner.NewAutoTVM()} {
 		var ref []Outcome
 		for _, workers := range []int{1, 4, 8} {
 			for _, conc := range []int{1, 2, 4} {

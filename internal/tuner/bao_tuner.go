@@ -35,24 +35,15 @@ func NewBTEDBAO() *AdvancedTuner {
 // Name implements Tuner.
 func (*AdvancedTuner) Name() string { return "bted+bao" }
 
-// Open implements Opener: the first step measures the BTED initialization
+// Open implements Tuner: the first step measures the BTED initialization
 // set as one parallel batch, and each later step performs exactly one BAO
 // iteration (the BAO stage is inherently sequential — each step's
 // neighborhood depends on the previous measurement — so it deploys one
-// configuration at a time regardless of Workers).
-func (t *AdvancedTuner) Open(_ context.Context, task *Task, b backend.Backend, opts Options) (Session, error) {
-	return t.open(task, b, opts, nil)
-}
-
-// Restore implements Opener. The BAO iteration state (incumbent,
-// trajectory, stall counters, every sample it has deployed) rides in the
-// snapshot; the bootstrap trainer is rebuilt fresh, trainers being pure
-// functions of their arguments.
-func (t *AdvancedTuner) Restore(_ context.Context, task *Task, b backend.Backend, opts Options, st SessionState) (Session, error) {
-	return t.open(task, b, opts, &st)
-}
-
-func (t *AdvancedTuner) open(task *Task, b backend.Backend, opts Options, st *SessionState) (Session, error) {
+// configuration at a time regardless of Workers). The BAO iteration state
+// (incumbent, trajectory, stall counters, every sample it has deployed)
+// rides in the snapshot; the bootstrap trainer is rebuilt fresh, trainers
+// being pure functions of their arguments.
+func (t *AdvancedTuner) Open(task *Task, b backend.Backend, opts Options, st *SessionState) (*Session, error) {
 	opts = opts.normalized()
 	s, err := openSession(t.Name(), task, b, opts, st)
 	if err != nil {
@@ -138,18 +129,12 @@ func (t *AdvancedTuner) open(task *Task, b backend.Backend, opts Options, st *Se
 		opts.Phases.Add(PhaseCandidateSelection, time.Since(stepStart)-measured)
 		return stop
 	}
-	ss := newStepSession(t.Name(), s, step).restoredFrom(st)
-	return ss.withExtra(func() (any, error) {
+	return newStepSession(t.Name(), s, st, step, func() any {
 		out := advancedState{Inited: ex.Inited}
 		if run != nil {
 			bs := run.State()
 			out.BAO = &bs
 		}
-		return out, nil
+		return out
 	}), nil
-}
-
-// Tune implements Tuner.
-func (t *AdvancedTuner) Tune(ctx context.Context, task *Task, b backend.Backend, opts Options) (Result, error) {
-	return tune(ctx, t, task, b, opts)
 }

@@ -17,17 +17,8 @@ type RandomTuner struct{}
 // Name implements Tuner.
 func (RandomTuner) Name() string { return "random" }
 
-// Open implements Opener: each step plans and measures one uniform batch.
-func (t RandomTuner) Open(_ context.Context, task *Task, b backend.Backend, opts Options) (Session, error) {
-	return t.open(task, b, opts, nil)
-}
-
-// Restore implements Opener.
-func (t RandomTuner) Restore(_ context.Context, task *Task, b backend.Backend, opts Options, st SessionState) (Session, error) {
-	return t.open(task, b, opts, &st)
-}
-
-func (t RandomTuner) open(task *Task, b backend.Backend, opts Options, st *SessionState) (Session, error) {
+// Open implements Tuner: each step plans and measures one uniform batch.
+func (t RandomTuner) Open(task *Task, b backend.Backend, opts Options, st *SessionState) (*Session, error) {
 	opts = opts.normalized()
 	s, err := openSession(t.Name(), task, b, opts, st)
 	if err != nil {
@@ -49,12 +40,7 @@ func (t RandomTuner) open(task *Task, b backend.Backend, opts Options, st *Sessi
 		s.measureBatch(ctx, batch)
 		return s.exhausted(ctx)
 	}
-	return newStepSession(t.Name(), s, step).restoredFrom(st), nil
-}
-
-// Tune implements Tuner.
-func (t RandomTuner) Tune(ctx context.Context, task *Task, b backend.Backend, opts Options) (Result, error) {
-	return tune(ctx, t, task, b, opts)
+	return newStepSession(t.Name(), s, st, step, nil), nil
 }
 
 // GridTuner sweeps flat indices deterministically with a golden-ratio
@@ -68,18 +54,9 @@ type GridTuner struct{}
 // Name implements Tuner.
 func (GridTuner) Name() string { return "grid" }
 
-// Open implements Opener: each step measures the next PlanSize-long slice
+// Open implements Tuner: each step measures the next PlanSize-long slice
 // of the golden-ratio sweep.
-func (t GridTuner) Open(_ context.Context, task *Task, b backend.Backend, opts Options) (Session, error) {
-	return t.open(task, b, opts, nil)
-}
-
-// Restore implements Opener.
-func (t GridTuner) Restore(_ context.Context, task *Task, b backend.Backend, opts Options, st SessionState) (Session, error) {
-	return t.open(task, b, opts, &st)
-}
-
-func (t GridTuner) open(task *Task, b backend.Backend, opts Options, st *SessionState) (Session, error) {
+func (t GridTuner) Open(task *Task, b backend.Backend, opts Options, st *SessionState) (*Session, error) {
 	opts = opts.normalized()
 	s, err := openSession(t.Name(), task, b, opts, st)
 	if err != nil {
@@ -113,13 +90,7 @@ func (t GridTuner) open(task *Task, b backend.Backend, opts Options, st *Session
 		s.measureBatch(ctx, batch)
 		return ex.I >= limit || s.exhausted(ctx)
 	}
-	ss := newStepSession(t.Name(), s, step).restoredFrom(st)
-	return ss.withExtra(func() (any, error) { return *ex, nil }), nil
-}
-
-// Tune implements Tuner.
-func (t GridTuner) Tune(ctx context.Context, task *Task, b backend.Backend, opts Options) (Result, error) {
-	return tune(ctx, t, task, b, opts)
+	return newStepSession(t.Name(), s, st, step, func() any { return *ex }), nil
 }
 
 // goldenStep returns floor(size/phi) adjusted to be coprime with size, so
@@ -165,18 +136,9 @@ type GATuner struct {
 // Name implements Tuner.
 func (GATuner) Name() string { return "ga" }
 
-// Open implements Opener: the first step measures the seed population, each
+// Open implements Tuner: the first step measures the seed population, each
 // later step plans and measures one generation.
-func (g GATuner) Open(_ context.Context, task *Task, b backend.Backend, opts Options) (Session, error) {
-	return g.open(task, b, opts, nil)
-}
-
-// Restore implements Opener.
-func (g GATuner) Restore(_ context.Context, task *Task, b backend.Backend, opts Options, st SessionState) (Session, error) {
-	return g.open(task, b, opts, &st)
-}
-
-func (g GATuner) open(task *Task, b backend.Backend, opts Options, st *SessionState) (Session, error) {
+func (g GATuner) Open(task *Task, b backend.Backend, opts Options, st *SessionState) (*Session, error) {
 	opts = opts.normalized()
 	if g.PopSize <= 0 {
 		g.PopSize = opts.PlanSize
@@ -243,13 +205,7 @@ func (g GATuner) open(task *Task, b backend.Backend, opts Options, st *SessionSt
 		}
 		return s.exhausted(ctx)
 	}
-	ss := newStepSession(g.Name(), s, step).restoredFrom(st)
-	return ss.withExtra(func() (any, error) { return *ex, nil }), nil
-}
-
-// Tune implements Tuner.
-func (g GATuner) Tune(ctx context.Context, task *Task, b backend.Backend, opts Options) (Result, error) {
-	return tune(ctx, g, task, b, opts)
+	return newStepSession(g.Name(), s, st, step, func() any { return *ex }), nil
 }
 
 func fitness(s active.Sample) float64 {

@@ -30,7 +30,7 @@ func TestSharedCacheAcrossTuners(t *testing.T) {
 	sc := backend.NewSharedCache(0)
 	cache := backend.WithShared(counting, sc)
 	for i, tn := range grid {
-		res, err := tn.Tune(context.Background(), task, cache, opts)
+		res, err := Tune(context.Background(), tn, task, cache, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,12 +59,12 @@ func TestCachedRerunIsFree(t *testing.T) {
 	cache := backend.WithShared(counting, backend.NewSharedCache(0))
 	opts := quickOpts(40, 19)
 
-	first, err := NewAutoTVM().Tune(context.Background(), task, cache, opts)
+	first, err := Tune(context.Background(), NewAutoTVM(), task, cache, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := counting.Calls()
-	second, err := NewAutoTVM().Tune(context.Background(), task, cache, opts)
+	second, err := Tune(context.Background(), NewAutoTVM(), task, cache, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

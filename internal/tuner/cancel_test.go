@@ -36,7 +36,7 @@ func TestCancellationPrefixDeterminism(t *testing.T) {
 						cancel()
 					}
 				}
-				res, err := tn.Tune(ctx, task, sim(51), opts)
+				res, err := Tune(ctx, tn, task, sim(51), opts)
 				cancel()
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -60,7 +60,7 @@ func TestCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tn := range allTuners() {
-		res, err := tn.Tune(ctx, task, sim(52), quickOpts(40, 3))
+		res, err := Tune(ctx, tn, task, sim(52), quickOpts(40, 3))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v", tn.Name(), err)
 		}
@@ -108,7 +108,7 @@ func TestDeadlineStopsWithinOneBatch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := NewAutoTVM().Tune(ctx, task, slow, opts)
+	res, err := Tune(ctx, NewAutoTVM(), task, slow, opts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

@@ -41,19 +41,10 @@ func NewChameleon() *ChameleonTuner {
 // Name implements Tuner.
 func (*ChameleonTuner) Name() string { return "chameleon" }
 
-// Open implements Opener: the first step measures the random
+// Open implements Tuner: the first step measures the random
 // initialization set, each later step proposes candidates via the cost
 // model, adaptively samples them by clustering, and measures the survivors.
-func (t *ChameleonTuner) Open(_ context.Context, task *Task, b backend.Backend, opts Options) (Session, error) {
-	return t.open(task, b, opts, nil)
-}
-
-// Restore implements Opener.
-func (t *ChameleonTuner) Restore(_ context.Context, task *Task, b backend.Backend, opts Options, st SessionState) (Session, error) {
-	return t.open(task, b, opts, &st)
-}
-
-func (t *ChameleonTuner) open(task *Task, b backend.Backend, opts Options, st *SessionState) (Session, error) {
+func (t *ChameleonTuner) Open(task *Task, b backend.Backend, opts Options, st *SessionState) (*Session, error) {
 	opts = opts.normalized()
 	s, err := openSession(t.Name(), task, b, opts, st)
 	if err != nil {
@@ -109,13 +100,7 @@ func (t *ChameleonTuner) open(task *Task, b backend.Backend, opts Options, st *S
 		}
 		return s.exhausted(ctx)
 	}
-	ss := newStepSession(t.Name(), s, step).restoredFrom(st)
-	return ss.withExtra(func() (any, error) { return *ex, nil }), nil
-}
-
-// Tune implements Tuner.
-func (t *ChameleonTuner) Tune(ctx context.Context, task *Task, b backend.Backend, opts Options) (Result, error) {
-	return tune(ctx, t, task, b, opts)
+	return newStepSession(t.Name(), s, st, step, func() any { return *ex }), nil
 }
 
 // adaptiveSample clusters the proposals in feature space and keeps one

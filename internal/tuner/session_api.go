@@ -8,67 +8,55 @@ import (
 	"repro/internal/backend"
 )
 
-// Session is a resumable tuning run: the batch loop that used to live
-// inside each Tuner.Tune, cut at its batch-fold boundaries so an external
-// driver (Tuner.Tune itself, or the graph scheduler in internal/sched) can
-// interleave many runs. A session is single-goroutine: callers must not
-// invoke its methods concurrently, though different sessions may be driven
-// from different goroutines.
+// Session is a resumable tuning run: a tuner's batch loop cut at its
+// batch-fold boundaries so an external driver (Tune, or the graph
+// scheduler in internal/sched) can interleave many runs and snapshot them.
+// A session is single-goroutine: callers must not invoke its methods
+// concurrently, though different sessions may be driven from different
+// goroutines.
 //
-// The contract mirrors Tune exactly: driving a fresh session with Step
-// until done and then calling Result yields a Result bit-identical to the
-// one-shot Tune call with the same (task, backend, opts) — the identity
-// every tuner proves in its Tune-vs-step-loop test. The context is passed
-// to every Step and never stored, so each call may carry a different ctx;
-// cancellation latches exactly like the in-Tune loop (the first Step that
-// observes a done ctx ends the run, and the samples recorded so far are a
-// bit-identical prefix of the uncancelled run).
-type Session interface {
-	// Step advances the run by one planned batch (for the sequential BAO
-	// stage: one measurement iteration). It reports done when the run has
-	// finished — budget or space exhausted, early stopping tripped, or ctx
-	// observed done — after which further calls are no-ops. err is non-nil
-	// only when the run stopped because a context was cancelled or expired;
-	// it is the latched ctx.Err() (Result wraps it with run detail).
-	Step(ctx context.Context) (done bool, err error)
-	// Result finalizes the run — feeding the transfer history exactly once
-	// — and returns the same (Result, error) the equivalent Tune call
-	// would. It is idempotent; a finalized session cannot be stepped
-	// further.
-	Result() (Result, error)
-	// Measured returns how many measurements the run has recorded so far
-	// (the scheduler's budget-accounting view).
-	Measured() int
-	// BestGFLOPS returns the best valid throughput observed so far
-	// (including resumed samples); ok is false while no valid measurement
-	// exists.
-	BestGFLOPS() (gflops float64, ok bool)
+// The context is passed to every Step and never stored, so each call may
+// carry a different ctx; the first Step that observes a done ctx ends the
+// run, and the samples recorded so far are a bit-identical prefix of the
+// uncancelled run.
+type Session struct {
+	name      string
+	s         *session
+	step      func(ctx context.Context) bool // tuner search state; true when finished
+	extra     func() any                     // tuner-specific snapshot state; nil = none
+	done      bool
+	finalized bool
+	res       Result
+	err       error
 }
 
-// Opener is implemented by tuners whose run can be driven stepwise. Every
-// tuner in this repository implements it; Tuner.Tune is exactly Open
-// followed by Drive.
-type Opener interface {
-	Tuner
-	// Open prepares a session for the task without measuring anything.
-	// Planning work (initialization-set construction, model training)
-	// happens lazily inside Step so a scheduler can fan it out. ctx is only
-	// observed, never stored: a context already done at Open simply makes
-	// the first Step latch cancellation.
-	Open(ctx context.Context, task *Task, b backend.Backend, opts Options) (Session, error)
-	// Restore rebuilds a session from a snapshot taken at a Step boundary
-	// (see Snapshotter). The caller supplies the same task, backend, and
-	// options — including Resume samples and the Transfer handle — it
-	// would pass to Open; the snapshot carries only the run's own state,
-	// and stepping the restored session continues the original run
-	// bit-identically. Mismatched tuner/task/seed fail with an error, as
-	// does AsOpener's wrapper for tuners without stepwise sessions
-	// (ErrSnapshotUnsupported).
-	Restore(ctx context.Context, task *Task, b backend.Backend, opts Options, st SessionState) (Session, error)
+// newStepSession wraps the shared measurement session and a tuner's step
+// closure. The closure owns all search state (RNG, sweep position, model
+// artifacts) and returns true when the run is finished; cancellation state
+// lives in s and is latched there. st is the snapshot the session was
+// restored from (nil when fresh); extra captures the tuner-specific state
+// for Snapshot.
+func newStepSession(name string, s *session, st *SessionState, step func(ctx context.Context) bool, extra func() any) *Session {
+	return &Session{name: name, s: s, step: step, extra: extra, done: st != nil && st.Base.StepDone}
+}
+
+// Tune opens a fresh session of t and drives it to completion: the run
+// stops when the budget or the space is exhausted, early stopping trips, or
+// ctx is done — whichever comes first — and always returns the Result of
+// the work performed. The error is nil on normal completion, wraps
+// ctx.Err() on cancellation or deadline expiry (Result then holds the
+// prefix measured so far), and wraps ErrNoValidConfig when a completed
+// search never saw a valid deployment.
+func Tune(ctx context.Context, t Tuner, task *Task, b backend.Backend, opts Options) (Result, error) {
+	sess, err := t.Open(task, b, opts, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return Drive(ctx, sess)
 }
 
 // Drive advances a session to completion and finalizes it.
-func Drive(ctx context.Context, s Session) (Result, error) {
+func Drive(ctx context.Context, s *Session) (Result, error) {
 	for {
 		done, err := s.Step(ctx)
 		if done || err != nil {
@@ -78,46 +66,49 @@ func Drive(ctx context.Context, s Session) (Result, error) {
 	return s.Result()
 }
 
-// stepSession adapts the shared measurement session plus a tuner-specific
-// step closure to the Session interface. The closure owns all search state
-// (RNG, sweep position, model artifacts) and returns true when the run is
-// finished; cancellation state lives in the embedded session and is
-// latched there.
-type stepSession struct {
-	name      string
-	s         *session
-	step      func(ctx context.Context) bool
-	extra     func() (any, error) // tuner-specific snapshot state; nil = none
-	done      bool
-	finalized bool
-	res       Result
-	err       error
-}
-
-func newStepSession(name string, s *session, step func(ctx context.Context) bool) *stepSession {
-	return &stepSession{name: name, s: s, step: step}
-}
-
-// withExtra registers the tuner-specific state captured into snapshots and
-// returns the session for chaining.
-func (ts *stepSession) withExtra(fn func() (any, error)) *stepSession {
-	ts.extra = fn
-	return ts
-}
-
-// restoredFrom applies the snapshot's step-loop flags after a Restore.
-func (ts *stepSession) restoredFrom(st *SessionState) *stepSession {
-	if st != nil && st.Base.StepDone {
+// Step advances the run by one planned batch (for the sequential BAO
+// stage: one measurement iteration). It reports done when the run has
+// finished — budget or space exhausted, early stopping tripped, or ctx
+// observed done — after which further calls are no-ops. err is non-nil
+// only when the run stopped because a context was cancelled or expired;
+// it is the latched ctx.Err() (Result wraps it with run detail).
+func (ts *Session) Step(ctx context.Context) (bool, error) {
+	if ts.done || ts.finalized {
+		return true, ts.s.err
+	}
+	if ts.step(ctx) {
 		ts.done = true
 	}
-	return ts
+	return ts.done, ts.s.err
 }
 
-// Snapshot implements Snapshotter: the complete session state at the
-// current Step boundary. Callers must not snapshot concurrently with Step;
-// a finalized session refuses (its Result already fed the transfer
-// history, so a restored continuation would double-publish).
-func (ts *stepSession) Snapshot() (SessionState, error) {
+// Result finalizes the run — feeding the transfer history exactly once —
+// and returns the run summary, with the same error contract as Tune. It is
+// idempotent; a finalized session cannot be stepped further.
+func (ts *Session) Result() (Result, error) {
+	if !ts.finalized {
+		ts.finalized = true
+		ts.done = true
+		ts.res, ts.err = ts.s.result(ts.name)
+	}
+	return ts.res, ts.err
+}
+
+// Measured returns how many measurements the run has recorded so far (the
+// scheduler's budget-accounting view).
+func (ts *Session) Measured() int { return len(ts.s.samples) }
+
+// BestGFLOPS returns the best valid throughput observed so far (including
+// resumed samples); ok is false while no valid measurement exists.
+func (ts *Session) BestGFLOPS() (gflops float64, ok bool) {
+	return ts.s.bestG, ts.s.bestG > 0
+}
+
+// Snapshot returns the complete session state at the current Step
+// boundary; Tuner.Open restores it. Callers must not snapshot concurrently
+// with Step; a finalized session refuses (its Result already fed the
+// transfer history, so a restored continuation would double-publish).
+func (ts *Session) Snapshot() (SessionState, error) {
 	if ts.finalized {
 		return SessionState{}, fmt.Errorf("tuner: %s on task %s: cannot snapshot a finalized session", ts.name, ts.s.task.Name)
 	}
@@ -129,11 +120,7 @@ func (ts *stepSession) Snapshot() (SessionState, error) {
 	}
 	st.Base.StepDone = ts.done
 	if ts.extra != nil {
-		v, err := ts.extra()
-		if err != nil {
-			return SessionState{}, fmt.Errorf("tuner: %s on task %s: snapshot: %w", ts.name, ts.s.task.Name, err)
-		}
-		raw, err := json.Marshal(v)
+		raw, err := json.Marshal(ts.extra())
 		if err != nil {
 			return SessionState{}, fmt.Errorf("tuner: %s on task %s: snapshot: %w", ts.name, ts.s.task.Name, err)
 		}
@@ -142,119 +129,13 @@ func (ts *stepSession) Snapshot() (SessionState, error) {
 	return st, nil
 }
 
-// Step implements Session.
-func (ts *stepSession) Step(ctx context.Context) (bool, error) {
-	if ts.done || ts.finalized {
-		return true, ts.s.err
-	}
-	if ts.step(ctx) {
-		ts.done = true
-	}
-	return ts.done, ts.s.err
-}
-
-// Result implements Session.
-func (ts *stepSession) Result() (Result, error) {
-	if !ts.finalized {
-		ts.finalized = true
-		ts.done = true
-		ts.res, ts.err = ts.s.result(ts.name)
-	}
-	return ts.res, ts.err
-}
-
-// Measured implements Session.
-func (ts *stepSession) Measured() int { return len(ts.s.samples) }
-
-// BestGFLOPS implements Session.
-func (ts *stepSession) BestGFLOPS() (float64, bool) {
-	return ts.s.bestG, ts.s.bestG > 0
-}
-
-// tune is the shared thin Tune loop every tuner delegates to.
-func tune(ctx context.Context, t Opener, task *Task, b backend.Backend, opts Options) (Result, error) {
-	sess, err := t.Open(ctx, task, b, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return Drive(ctx, sess)
-}
-
-// AsOpener returns t itself when it already supports stepwise sessions
-// (every tuner in this repository does), and otherwise wraps it so its
-// whole Tune call runs as one indivisible Step. The wrapper keeps
-// third-party Tuner implementations working under the graph scheduler; they
-// just cannot be interleaved at batch granularity.
-func AsOpener(t Tuner) Opener {
-	if o, ok := t.(Opener); ok {
-		return o
-	}
-	return monoOpener{t}
-}
-
-type monoOpener struct{ Tuner }
-
-// Open implements Opener.
-func (m monoOpener) Open(_ context.Context, task *Task, b backend.Backend, opts Options) (Session, error) {
-	return &monoSession{t: m.Tuner, task: task, b: b, opts: opts}, nil
-}
-
-// Restore implements Opener. A wrapped third-party tuner has no step
-// boundaries, so there is nothing a snapshot could have captured.
-func (m monoOpener) Restore(_ context.Context, _ *Task, _ backend.Backend, _ Options, _ SessionState) (Session, error) {
-	return nil, fmt.Errorf("%w (tuner %s runs as one indivisible step)", ErrSnapshotUnsupported, m.Name())
-}
-
-// monoSession runs an entire Tune call as its single step.
-type monoSession struct {
-	t    Tuner
-	task *Task
-	b    backend.Backend
-	opts Options
-	done bool
-	res  Result
-	err  error
-}
-
-// Step implements Session.
-func (m *monoSession) Step(ctx context.Context) (bool, error) {
-	if !m.done {
-		m.res, m.err = m.t.Tune(ctx, m.task, m.b, m.opts)
-		m.done = true
-	}
-	if m.err != nil && ctx.Err() != nil {
-		return true, ctx.Err()
-	}
-	return true, nil
-}
-
-// Result implements Session.
-func (m *monoSession) Result() (Result, error) {
-	m.done = true
-	return m.res, m.err
-}
-
-// Measured implements Session.
-func (m *monoSession) Measured() int { return len(m.res.Samples) }
-
-// BestGFLOPS implements Session.
-func (m *monoSession) BestGFLOPS() (float64, bool) {
-	if m.res.Found {
-		return m.res.Best.GFLOPS, true
-	}
-	return 0, false
-}
-
-// Compile-time proof that every tuner supports stepwise sessions (and,
-// through Opener.Restore plus the step sessions' Snapshotter, serializable
-// ones).
+// Compile-time proof that every tuner opens stepwise, snapshottable
+// sessions.
 var (
-	_ Opener = RandomTuner{}
-	_ Opener = GridTuner{}
-	_ Opener = GATuner{}
-	_ Opener = (*ModelTuner)(nil)
-	_ Opener = (*ChameleonTuner)(nil)
-	_ Opener = (*AdvancedTuner)(nil)
-
-	_ Snapshotter = (*stepSession)(nil)
+	_ Tuner = RandomTuner{}
+	_ Tuner = GridTuner{}
+	_ Tuner = GATuner{}
+	_ Tuner = (*ModelTuner)(nil)
+	_ Tuner = (*ChameleonTuner)(nil)
+	_ Tuner = (*AdvancedTuner)(nil)
 )

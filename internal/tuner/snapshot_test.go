@@ -52,14 +52,14 @@ func TestGoldenSnapshotRestoreContinue(t *testing.T) {
 			t.Parallel()
 			opts := quickOpts(48, 23)
 			task := testTask(t)
-			want, werr := tn.Tune(context.Background(), task, sim(3), opts)
+			want, werr := Tune(context.Background(), tn, task, sim(3), opts)
 			if werr != nil && !errors.Is(werr, ErrNoValidConfig) {
 				t.Fatal(werr)
 			}
 
 			for cut := 0; ; cut++ {
 				// Run the original up to the cut boundary.
-				sess, err := tn.Open(context.Background(), task, sim(3), opts)
+				sess, err := tn.Open(task, sim(3), opts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +74,7 @@ func TestGoldenSnapshotRestoreContinue(t *testing.T) {
 						break
 					}
 				}
-				st, err := sess.(Snapshotter).Snapshot()
+				st, err := sess.Snapshot()
 				if err != nil {
 					t.Fatalf("cut %d: snapshot: %v", cut, err)
 				}
@@ -83,12 +83,12 @@ func TestGoldenSnapshotRestoreContinue(t *testing.T) {
 				// Restore against a freshly built task and backend: nothing
 				// may hide in shared pointers.
 				fresh := testTask(t)
-				restored, err := tn.Restore(context.Background(), fresh, sim(3), opts, st)
+				restored, err := tn.Open(fresh, sim(3), opts, &st)
 				if err != nil {
 					t.Fatalf("cut %d: restore: %v", cut, err)
 				}
 				// A restored session's immediate snapshot is the same state.
-				st2, err := restored.(Snapshotter).Snapshot()
+				st2, err := restored.Snapshot()
 				if err != nil {
 					t.Fatalf("cut %d: re-snapshot: %v", cut, err)
 				}
@@ -131,11 +131,11 @@ func TestGoldenSnapshotTransferChain(t *testing.T) {
 	h := transfer.NewHistory()
 	opts := baseOpts
 	opts.Transfer = h
-	ra, err := tn.Tune(context.Background(), ta, sim(13), opts)
+	ra, err := Tune(context.Background(), tn, ta, sim(13), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tn.Tune(context.Background(), tb, sim(13), opts)
+	want, err := Tune(context.Background(), tn, tb, sim(13), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +144,10 @@ func TestGoldenSnapshotTransferChain(t *testing.T) {
 	h2 := transfer.NewHistory()
 	opts2 := baseOpts
 	opts2.Transfer = h2
-	if _, err := tn.Tune(context.Background(), ta, sim(13), opts2); err != nil {
+	if _, err := Tune(context.Background(), tn, ta, sim(13), opts2); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := tn.Open(context.Background(), tb, sim(13), opts2)
+	sess, err := tn.Open(tb, sim(13), opts2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestGoldenSnapshotTransferChain(t *testing.T) {
 			t.Fatalf("step %d: done=%v err=%v", k, done, serr)
 		}
 	}
-	st, err := sess.(Snapshotter).Snapshot()
+	st, err := sess.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestGoldenSnapshotTransferChain(t *testing.T) {
 	h3.Add(fa.Name, fa.Workload.Op, ra.Samples)
 	opts3 := baseOpts
 	opts3.Transfer = h3
-	restored, err := tn.Restore(context.Background(), fb, sim(13), opts3, st)
+	restored, err := tn.Open(fb, sim(13), opts3, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,63 +183,56 @@ func TestGoldenSnapshotTransferChain(t *testing.T) {
 }
 
 // TestSnapshotErrors pins the failure modes: finalized sessions refuse to
-// snapshot, mismatched restores fail loudly, and AsOpener's wrapper for
-// non-stepwise tuners reports ErrSnapshotUnsupported.
+// snapshot, mismatched restores fail loudly, and an unseeded backend is
+// refused by both a fresh and a restoring Open.
 func TestSnapshotErrors(t *testing.T) {
 	task := testTask(t)
 	opts := quickOpts(16, 5)
 	tn := RandomTuner{}
-	sess, err := tn.Open(context.Background(), task, sim(3), opts)
+	sess, err := tn.Open(task, sim(3), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sess.(Snapshotter).Snapshot()
+	st, err := sess.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Drive(context.Background(), sess); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.(Snapshotter).Snapshot(); err == nil {
+	if _, err := sess.Snapshot(); err == nil {
 		t.Error("finalized session allowed Snapshot")
 	}
 
-	if _, err := (GridTuner{}).Restore(context.Background(), task, sim(3), opts, st); err == nil {
+	if _, err := (GridTuner{}).Open(task, sim(3), opts, &st); err == nil {
 		t.Error("restore accepted a snapshot from a different tuner")
 	}
 	bad := st
 	bad.Task = "someone-else"
-	if _, err := tn.Restore(context.Background(), task, sim(3), opts, bad); err == nil {
+	if _, err := tn.Open(task, sim(3), opts, &bad); err == nil {
 		t.Error("restore accepted a snapshot from a different task")
 	}
 	bad = st
 	bad.Base.Seed++
-	if _, err := tn.Restore(context.Background(), task, sim(3), opts, bad); err == nil {
+	if _, err := tn.Open(task, sim(3), opts, &bad); err == nil {
 		t.Error("restore accepted mismatched seeds")
 	}
 	bad = st
 	bad.Version = 99
-	if _, err := tn.Restore(context.Background(), task, sim(3), opts, bad); err == nil {
+	if _, err := tn.Open(task, sim(3), opts, &bad); err == nil {
 		t.Error("restore accepted an unknown snapshot version")
 	}
 
-	mono := AsOpener(plainTuner{})
-	if _, err := mono.Restore(context.Background(), task, sim(3), opts, st); !errors.Is(err, ErrSnapshotUnsupported) {
-		t.Errorf("mono restore err = %v, want ErrSnapshotUnsupported", err)
+	// Tuning requires a seeded backend, fresh or restored.
+	if _, err := tn.Open(task, unseeded{sim(3)}, opts, nil); err == nil {
+		t.Error("open accepted an unseeded backend")
 	}
-	monoSess, err := mono.Open(context.Background(), task, sim(3), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := monoSess.(Snapshotter); ok {
-		t.Error("mono session claims to be a Snapshotter")
+	if _, err := tn.Open(task, unseeded{sim(3)}, opts, &st); err == nil {
+		t.Error("restore accepted an unseeded backend")
 	}
 }
 
-// plainTuner is a minimal non-Opener Tuner for the AsOpener fallback path.
-type plainTuner struct{}
+// unseeded is a backend whose noise comes from one shared stream only.
+type unseeded struct{ backend.Backend }
 
-func (plainTuner) Name() string { return "plain" }
-func (plainTuner) Tune(_ context.Context, _ *Task, _ backend.Backend, _ Options) (Result, error) {
-	return Result{}, nil
-}
+func (unseeded) Seeded() bool { return false }

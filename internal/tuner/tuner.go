@@ -7,8 +7,10 @@
 // for batch transductive experimental design, and the full BTED+BAO
 // advanced active-learning framework.
 //
-// Every tuner shares the same lifecycle contract: Tune observes ctx at
-// batch-fold boundaries (between planned batches and between the serial
+// Every tuner runs through one lifecycle: Tuner.Open returns a *Session
+// (fresh, or restored from a SessionState snapshot) whose Step advances one
+// planned batch, and Tune is Open followed by Drive. A session observes ctx
+// at batch-fold boundaries (between planned batches and between the serial
 // record steps inside a fold), so a cancelled or deadline-expired run
 // returns the samples gathered so far together with an error wrapping
 // ctx.Err() — and those samples are a bit-identical prefix of the
@@ -92,10 +94,8 @@ type Options struct {
 	// budget, but model-based tuners train on them from the first round.
 	Resume []active.Sample
 	// Workers sizes the measurement worker pool used for planned batches
-	// (default GOMAXPROCS). When the backend reports Seeded,
-	// Result.Samples are bit-identical for every Workers value under the
-	// same Seed; with an unseeded backend batches fall back to serial
-	// measurement so the shared noise stream keeps its order.
+	// (default GOMAXPROCS). Result.Samples are bit-identical for every
+	// Workers value under the same Seed.
 	Workers int
 	// Phases, when set, accumulates per-phase wall-clock time
 	// (init-set planning, surrogate training, candidate selection,
@@ -139,15 +139,19 @@ type Result struct {
 // BestTrace returns the best-so-far GFLOPS series (Fig. 4 ordinate).
 func (r Result) BestTrace() []float64 { return active.BestTrace(r.Samples) }
 
-// Tuner is a node-wise search strategy. Tune runs until the budget or the
-// space is exhausted, early stopping trips, or ctx is done — whichever
-// comes first — and always returns the Result of the work performed. The
-// error is nil on normal completion, wraps ctx.Err() on cancellation or
-// deadline expiry (Result then holds the prefix measured so far), and wraps
-// ErrNoValidConfig when a completed search never saw a valid deployment.
+// Tuner is a node-wise search strategy. Open prepares a session for the
+// task without measuring anything: planning work (initialization-set
+// construction, model training) happens lazily inside Step so a scheduler
+// can fan it out. With st == nil the session starts fresh; otherwise it is
+// rebuilt from a snapshot taken at a Step boundary (Session.Snapshot), and
+// stepping it continues the original run bit-identically. The caller
+// supplies the same task, backend and options — including Resume samples
+// and the Transfer handle — in both cases: the snapshot carries only the
+// run's own state, and a mismatched tuner, task, seed or schema version
+// fails with an error. The backend must be seeded (Backend.Seeded).
 type Tuner interface {
 	Name() string
-	Tune(ctx context.Context, task *Task, b backend.Backend, opts Options) (Result, error)
+	Open(task *Task, b backend.Backend, opts Options, st *SessionState) (*Session, error)
 }
 
 // session tracks budget, early stopping, cancellation and the visited set
@@ -218,13 +222,11 @@ func (s *session) exhausted(ctx context.Context) bool {
 }
 
 // measureRaw deploys one configuration without touching session state,
-// preferring the order-independent seeded path when the backend offers it.
-// It is the only method of the session safe to call from pool goroutines.
+// with noise derived from (run seed, config) so the result is independent
+// of call order. It is the only method of the session safe to call from
+// pool goroutines.
 func (s *session) measureRaw(c space.Config) hwsim.Measurement {
-	if s.b.Seeded() {
-		return s.b.MeasureSeeded(s.task.Workload, c, hwsim.NoiseSeed(s.opts.Seed, c.Flat()))
-	}
-	return s.b.Measure(s.task.Workload, c)
+	return s.b.MeasureSeeded(s.task.Workload, c, hwsim.NoiseSeed(s.opts.Seed, c.Flat()))
 }
 
 // record appends one finished measurement and updates the stopping state.
@@ -265,13 +267,13 @@ func (s *session) measure(ctx context.Context, c space.Config) {
 	s.record(c, s.measureRaw(c))
 }
 
-// measureBatch deploys a planned batch, concurrently when the backend
-// supports per-call seeds, and folds the results back in submission order:
-// samples, observer callbacks and early-stopping decisions are exactly those
-// of a serial sweep over the same plan, for any Workers value. The plan is
-// deduplicated against the visited set (and within itself) and capped at the
-// remaining budget before any measurement is issued, mirroring how a
-// measurement farm deploys a planned AutoTVM batch.
+// measureBatch deploys a planned batch concurrently and folds the results
+// back in submission order: samples, observer callbacks and early-stopping
+// decisions are exactly those of a serial sweep over the same plan, for any
+// Workers value. The plan is deduplicated against the visited set (and
+// within itself) and capped at the remaining budget before any measurement
+// is issued, mirroring how a measurement farm deploys a planned AutoTVM
+// batch.
 //
 // Cancellation points sit only at batch-fold boundaries: the pool stops
 // dispatching once ctx is done (completed calls still fold), and the serial
@@ -297,22 +299,9 @@ func (s *session) measureBatch(ctx context.Context, batch []space.Config) {
 		return
 	}
 	defer s.opts.Phases.track(PhaseMeasurement)()
-	if !s.b.Seeded() {
-		// Shared-stream backend: noise depends on global order, so the
-		// batch must stay serial (and stop measuring once early-stopped or
-		// cancelled).
-		for _, c := range plan {
-			if s.done || s.cancelled(ctx) {
-				return
-			}
-			s.record(c, s.b.Measure(s.task.Workload, c))
-		}
-		return
-	}
-	// Seeded path: every dispatched config is measured to completion —
-	// matching what a farm already has in flight when early stopping or
-	// cancellation trips — and the fold below discards anything past the
-	// stopping point.
+	// Every dispatched config is measured to completion — matching what a
+	// farm already has in flight when early stopping or cancellation trips —
+	// and the fold below discards anything past the stopping point.
 	results := make([]hwsim.Measurement, len(plan))
 	k := par.ForContext(ctx, len(plan), s.opts.Workers, func(i int) {
 		results[i] = s.measureRaw(plan[i])

@@ -32,7 +32,7 @@ func sim(seed int64) backend.Backend {
 // than ErrNoValidConfig (which individual tests assert through res.Found).
 func mustTune(t *testing.T, tn Tuner, task *Task, b backend.Backend, opts Options) Result {
 	t.Helper()
-	res, err := tn.Tune(context.Background(), task, b, opts)
+	res, err := Tune(context.Background(), tn, task, b, opts)
 	if err != nil && !errors.Is(err, ErrNoValidConfig) {
 		t.Fatalf("%s: unexpected tune error: %v", tn.Name(), err)
 	}
