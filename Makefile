@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race determinism bench-smoke serve-smoke cover perfbench-test lint lint-sarif fmt-check verify
+.PHONY: all build test determinism bench-smoke serve-smoke cover perfbench-test lint lint-sarif fmt-check verify
 
 all: build test lint
 
@@ -10,40 +10,31 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrent measurement machinery
-# (hwsim.Simulator, transfer.History, the tuner worker pool, par,
-# the backend wrappers, the graph scheduler, parallel bootstrap training
-# and Gram assembly, parallel SA chains, the job manager's record fan-out
-# and the daemon's SSE subscribers).
-race:
-	$(GO) test -race ./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/xgb ./internal/gp ./internal/sa ./internal/job ./internal/serve ./cmd/served
-
-# Determinism suite under the race detector: same seed, Workers 1/4/8
-# must yield bit-identical samples for every tuner, a cancelled or
-# deadline-expired run must return a bit-identical prefix of them, and
-# the graph scheduler's outcomes must be invariant across the whole
-# Workers {1,4,8} x task-concurrency {1,2,4} grid for both a model-free
-# (GA) and a model-based (autotvm) tuner (sched tests plus the
-# pipeline-level golden and invariance checks in internal/core), and a
-# job manager's shared measurement cache must leave every record log
-# byte-identical to an uncached run (internal/job, Seeded). The
-# kernel-level invariance tests ride the same regex: TED/mat-vec/Cholesky
-# (linalg, active), xgb split search + PredictBatch, and the GP kernel
-# build must be bit-identical for any worker count, and the SIMD lane
-# kernels must match the portable reference bit for bit. Parallel SA
-# chains join through internal/sa (plain and delta objectives, Workers
-# 1/4/8) and the tuner-level SAChains sample-stream invariance test.
-# Checkpoint|Snapshot pulls in the serializable-session layer: snapshot →
-# restore → continue must be bit-identical for every tuner, for the
-# scheduler across its Workers x task-concurrency grid, and for the
-# crash-resume rehearsals of the whole job lifecycle — the runner killed
-# at a checkpoint boundary (internal/job), the manager shut down mid-job
-# and recovered, and a served job whose daemon is killed and restarted
-# (cmd/served) — each of which must leave a record log byte-identical to
-# an uninterrupted run.
+# The race-detector pass: every test of every package with concurrent
+# machinery or a determinism contract, run once under -race so scheduling
+# varies. It covers the concurrent measurement types (hwsim.Simulator,
+# transfer.History, the tuner worker pool, par, the shared measurement
+# cache), parallel bootstrap training and Gram assembly, parallel SA chains,
+# and the job manager's record fan-out and the daemon's SSE subscribers;
+# and the determinism suite: same seed, Workers 1/4/8 must yield
+# bit-identical samples for every tuner, a cancelled or deadline-expired
+# run must return a bit-identical prefix of them, the graph scheduler's
+# outcomes must be invariant across the Workers {1,4,8} x task-concurrency
+# {1,2,4} grid (sched, plus the pipeline-level golden and invariance checks
+# in internal/core), a manager's shared cache must leave every record log
+# byte-identical to an uncached run, the kernel-level TED/mat-vec/Cholesky,
+# xgb split search + PredictBatch and GP kernel builds must be
+# bit-identical for any worker count, and snapshot -> restore -> continue
+# must be bit-identical for every tuner, for the scheduler, and for the
+# crash-resume rehearsals of the whole job lifecycle: cmd/tune killed at a
+# checkpoint boundary (sequential, concurrent and adaptive schedules), the
+# runner and the manager (internal/job), and a served job whose daemon is
+# killed and restarted (cmd/served). The timeout is explicit because the
+# tuner package's snapshot suite runs for 5-10 minutes under -race on a
+# 2-CPU host, close to go test's 10-minute default.
 determinism:
-	$(GO) test -race -run 'WorkerCountInvariance|Parallel|Concurrent|Seeded|NoiseSeed|Cancel|Deadline|ForContext|Golden|Session|Invariance|SequentialMatches|Checkpoint|Snapshot' \
-		./internal/tuner ./internal/active ./internal/linalg ./internal/hwsim ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/sa ./internal/snap ./internal/rng ./internal/job ./cmd/tune ./cmd/served
+	$(GO) test -race -timeout 30m \
+		./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/sa ./internal/snap ./internal/rng ./internal/job ./internal/serve ./cmd/tune ./cmd/served
 
 # Benchmark smoke pass: every committed benchmark must still compile and
 # run (one iteration; not a timing source).

@@ -112,7 +112,7 @@ func TestServedCrashResumeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr1 := job.NewManager(store1, 1)
+	mgr1 := job.NewManagerWith(store1, job.ManagerOptions{Concurrency: 1})
 	ts1 := httptest.NewServer(serve.New(mgr1))
 
 	const id = "crash-1"
@@ -157,7 +157,7 @@ func TestServedCrashResumeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr2 := job.NewManager(store2, 1)
+	mgr2 := job.NewManagerWith(store2, job.ManagerOptions{Concurrency: 1})
 	if err := mgr2.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestServedAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := job.NewManager(store, 1)
+	mgr := job.NewManagerWith(store, job.ManagerOptions{Concurrency: 1})
 	defer mgr.Close()
 	ts := httptest.NewServer(serve.New(mgr))
 	defer ts.Close()

@@ -16,19 +16,25 @@ import (
 	"repro/internal/snap"
 )
 
-func testCfg(conc int, policy string) runConfig {
-	return runConfig{
-		tuner:        "autotvm",
-		ops:          "conv",
-		device:       "gtx1080ti",
-		budget:       24,
-		earlyStop:    -1,
-		planSize:     8,
-		runs:         50,
-		workers:      2,
-		taskConc:     conc,
-		budgetPolicy: policy,
+func testSpec(conc int, policy string) job.Spec {
+	return job.Spec{
+		Tuner:           "autotvm",
+		Ops:             "conv",
+		Device:          "gtx1080ti",
+		Budget:          24,
+		EarlyStop:       -1,
+		PlanSize:        8,
+		Runs:            50,
+		Workers:         2,
+		TaskConcurrency: conc,
+		BudgetPolicy:    policy,
 	}
+}
+
+// forModel completes spec with the model and seed of one run.
+func forModel(spec job.Spec, model string, seed int64) job.Spec {
+	spec.Model, spec.Seed = model, seed
+	return spec
 }
 
 // reportLines extracts the deterministic parts of a run's report: the final
@@ -133,11 +139,11 @@ func TestCrashResumeCheckpoint(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			cfg := testCfg(tc.conc, tc.policy)
+			spec := forModel(testSpec(tc.conc, tc.policy), model, tc.seed)
 
 			refLog := filepath.Join(dir, "ref.jsonl")
 			var refOut bytes.Buffer
-			if err := runModel(context.Background(), &refOut, model, cfg, tc.seed, refLog, nil, "", nil); err != nil {
+			if err := runModel(context.Background(), &refOut, spec, 0, 0, refLog, nil, "", nil); err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
 
@@ -146,10 +152,8 @@ func TestCrashResumeCheckpoint(t *testing.T) {
 			// checkpoint file behind.
 			cpPath := filepath.Join(dir, "run.ckpt")
 			log := filepath.Join(dir, "run.jsonl")
-			killed := cfg
-			killed.stopAfter = tc.stopAfter
 			var killedOut bytes.Buffer
-			err := runModel(context.Background(), &killedOut, model, killed, tc.seed, log, nil, cpPath, nil)
+			err := runModel(context.Background(), &killedOut, spec, 0, tc.stopAfter, log, nil, cpPath, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 			}
@@ -169,7 +173,7 @@ func TestCrashResumeCheckpoint(t *testing.T) {
 			}
 
 			var resumedOut bytes.Buffer
-			if err := runModel(context.Background(), &resumedOut, model, cfg, tc.seed, log, nil, cpPath, cp); err != nil {
+			if err := runModel(context.Background(), &resumedOut, spec, 0, 0, log, nil, cpPath, cp); err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
 
@@ -202,10 +206,9 @@ func TestCrashResumeCheckpoint(t *testing.T) {
 // distinguishable from a record log.
 func TestCheckpointResumeFlagValidation(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testCfg(1, "uniform")
-	cfg.stopAfter = 1
+	spec := testSpec(1, "uniform")
 	cpPath := filepath.Join(dir, "run.ckpt")
-	err := runModel(context.Background(), io.Discard, "mobilenet-v1", cfg, 7, "", nil, cpPath, nil)
+	err := runModel(context.Background(), io.Discard, forModel(spec, "mobilenet-v1", 7), 0, 1, "", nil, cpPath, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v", err)
 	}
@@ -225,18 +228,18 @@ func TestCheckpointResumeFlagValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Validate(cfg.spec("mobilenet-v1", 8)); err == nil || !strings.Contains(err.Error(), "original flags") {
+	if err := cp.Validate(forModel(spec, "mobilenet-v1", 8)); err == nil || !strings.Contains(err.Error(), "original flags") {
 		t.Fatalf("seed mismatch not rejected: %v", err)
 	}
-	other := cfg
-	other.budget = 99
-	if err := cp.Validate(other.spec("mobilenet-v1", 7)); err == nil || !strings.Contains(err.Error(), "-budget") {
+	other := forModel(spec, "mobilenet-v1", 7)
+	other.Budget = 99
+	if err := cp.Validate(other); err == nil || !strings.Contains(err.Error(), "-budget") {
 		t.Fatalf("budget mismatch not rejected: %v", err)
 	}
-	if err := cp.Validate(cfg.spec("resnet-18", 7)); err == nil {
+	if err := cp.Validate(forModel(spec, "resnet-18", 7)); err == nil {
 		t.Fatal("model mismatch not rejected")
 	}
-	if err := cp.Validate(cfg.spec("mobilenet-v1", 7)); err != nil {
+	if err := cp.Validate(forModel(spec, "mobilenet-v1", 7)); err != nil {
 		t.Fatalf("matching flags rejected: %v", err)
 	}
 }

@@ -98,23 +98,19 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := runConfig{
-		tuner:           *tunerName,
-		ops:             *ops,
-		device:          *device,
-		budget:          *budget,
-		earlyStop:       *earlyStop,
-		planSize:        *planSize,
-		runs:            *runs,
-		workers:         *workers,
-		timeout:         *timeout,
-		taskConc:        *taskConc,
-		budgetPolicy:    *budgetPolicy,
-		checkpointEvery: *checkpointEvery,
-		stopAfter:       *stopAfter,
+	// The job the flags denote, minus the model: cmd/tune passes every
+	// field explicitly (no Normalized defaults), so the stream is exactly
+	// what the flags say. Each model of the run fills in Model and derives
+	// its Seed from this one.
+	spec := job.Spec{
+		Tuner: *tunerName, Device: *device, Ops: *ops,
+		Seed: *seed, Budget: *budget, EarlyStop: *earlyStop,
+		PlanSize: *planSize, Runs: *runs, Workers: *workers,
+		TaskConcurrency: *taskConc, BudgetPolicy: *budgetPolicy,
+		CheckpointEvery: *checkpointEvery,
 	}
 	if *dryRun {
-		if err := printDryRun(os.Stdout, resolveModels(*model), cfg); err != nil {
+		if err := printDryRun(os.Stdout, resolveModels(*model), spec); err != nil {
 			fmt.Fprintln(os.Stderr, "tune:", err)
 			os.Exit(1)
 		}
@@ -123,7 +119,7 @@ func main() {
 	// Profiled body in its own function so deferred profile teardown runs
 	// before os.Exit.
 	if err := profiledRun(ctx, *cpuProfile, *memProfile, func(ctx context.Context) error {
-		return run(ctx, resolveModels(*model), cfg, *seed, *logPath, *resumePath, *checkpointPath, *parallel)
+		return run(ctx, resolveModels(*model), spec, *timeout, *stopAfter, *logPath, *resumePath, *checkpointPath, *parallel)
 	}); err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "tune: interrupted; record log and checkpoint flushed:", err)
@@ -171,50 +167,12 @@ func profiledRun(ctx context.Context, cpuProfile, memProfile string, body func(c
 	return err
 }
 
-// runConfig carries the per-model tuning settings shared by every model of
-// a multi-model run.
-type runConfig struct {
-	tuner           string
-	ops             string
-	device          string
-	budget          int
-	earlyStop       int
-	planSize        int
-	runs            int
-	workers         int
-	timeout         time.Duration
-	taskConc        int
-	budgetPolicy    string
-	checkpointEvery int
-	stopAfter       int // testing hook: cancel the run after N checkpoints
-}
-
-func (c runConfig) extract() graph.ExtractOpts {
-	if c.ops == "conv" {
-		return graph.ConvOnly
-	}
-	return graph.AllOps
-}
-
-// spec assembles the job description the flags denote. cmd/tune passes
-// every field explicitly (no Normalized defaults), so the stream is exactly
-// what the flags say.
-func (c runConfig) spec(model string, seed int64) job.Spec {
-	return job.Spec{
-		Model: model, Tuner: c.tuner, Device: c.device, Ops: c.ops,
-		Seed: seed, Budget: c.budget, EarlyStop: c.earlyStop,
-		PlanSize: c.planSize, Runs: c.runs, Workers: c.workers,
-		TaskConcurrency: c.taskConc, BudgetPolicy: c.budgetPolicy,
-		CheckpointEvery: c.checkpointEvery,
-	}
-}
-
 // printDryRun prints the scheduler's planned round/budget schedule for each
 // model without running a single measurement: task list, policy, and the
 // per-round grants with cumulative budgets (idealized — early stopping and
 // measured gains will bend the real run).
-func printDryRun(w io.Writer, models []string, cfg runConfig) error {
-	policy, err := sched.PolicyByName(cfg.budgetPolicy)
+func printDryRun(w io.Writer, models []string, spec job.Spec) error {
+	policy, err := sched.PolicyByName(spec.BudgetPolicy)
 	if err != nil {
 		return err
 	}
@@ -223,7 +181,7 @@ func printDryRun(w io.Writer, models []string, cfg runConfig) error {
 		if err != nil {
 			return err
 		}
-		gtasks := graph.ExtractTasks(g, cfg.extract())
+		gtasks := graph.ExtractTasks(g, spec.Extract())
 		specs := make([]sched.Spec, 0, len(gtasks))
 		for _, gt := range gtasks {
 			task, err := tuner.FromGraphTask(gt)
@@ -231,12 +189,12 @@ func printDryRun(w io.Writer, models []string, cfg runConfig) error {
 				return err
 			}
 			specs = append(specs, sched.Spec{Task: task, Opts: tuner.Options{
-				Budget: cfg.budget, EarlyStop: cfg.earlyStop, PlanSize: cfg.planSize,
+				Budget: spec.Budget, EarlyStop: spec.EarlyStop, PlanSize: spec.PlanSize,
 			}})
 		}
-		plans := sched.PlanPreview(specs, sched.Options{TaskConcurrency: cfg.taskConc, Policy: policy})
+		plans := sched.PlanPreview(specs, sched.Options{TaskConcurrency: spec.TaskConcurrency, Policy: policy})
 		fmt.Fprintf(w, "%s: %d tasks, policy %s, task-concurrency %d, %d planned rounds\n",
-			model, len(specs), policy.Name(), cfg.taskConc, len(plans))
+			model, len(specs), policy.Name(), spec.TaskConcurrency, len(plans))
 		for _, plan := range plans {
 			fmt.Fprintf(w, "  round %2d:", plan.Round+1)
 			for _, gr := range plan.Grants {
@@ -261,7 +219,11 @@ func resolveModels(spec string) []string {
 	return out
 }
 
-func run(ctx context.Context, models []string, cfg runConfig, seed int64, logPath, resumePath, cpPath string, parallel int) error {
+// run tunes every model of the list. spec carries everything but the model;
+// model i runs with spec.Seed+i*104729. taskTimeout is the per-task
+// wall-clock deadline and stopAfter the testing hook that interrupts the
+// run after that many checkpoints (0 disables either).
+func run(ctx context.Context, models []string, spec job.Spec, taskTimeout time.Duration, stopAfter int, logPath, resumePath, cpPath string, parallel int) error {
 	if len(models) == 0 {
 		return fmt.Errorf("no models given")
 	}
@@ -302,7 +264,8 @@ func run(ctx context.Context, models []string, cfg runConfig, seed int64, logPat
 	}
 
 	if len(models) == 1 {
-		return runModel(ctx, os.Stdout, models[0], cfg, seed, logPath, resume, cpPath, resumeCp)
+		spec.Model = models[0]
+		return runModel(ctx, os.Stdout, spec, taskTimeout, stopAfter, logPath, resume, cpPath, resumeCp)
 	}
 
 	if parallel <= 0 {
@@ -327,7 +290,9 @@ func run(ctx context.Context, models []string, cfg runConfig, seed int64, logPat
 		if cp != "" {
 			cp = fmt.Sprintf("%s.%s", cpPath, models[i])
 		}
-		errs[i] = runModel(ctx, &outs[i], models[i], cfg, seed+int64(i)*104729, lp, resume, cp, nil)
+		ms := spec
+		ms.Model, ms.Seed = models[i], spec.Seed+int64(i)*104729
+		errs[i] = runModel(ctx, &outs[i], ms, taskTimeout, stopAfter, lp, resume, cp, nil)
 	})
 	var firstErr error
 	for i, m := range models {
@@ -348,7 +313,8 @@ func run(ctx context.Context, models []string, cfg runConfig, seed int64, logPat
 	return firstErr
 }
 
-func runModel(ctx context.Context, w io.Writer, model string, cfg runConfig, seed int64, logPath string, resume []record.Record, cpPath string, resumeCp *job.Checkpoint) error {
+// runModel tunes one model: spec is complete (Model and Seed set).
+func runModel(ctx context.Context, w io.Writer, spec job.Spec, taskTimeout time.Duration, stopAfter int, logPath string, resume []record.Record, cpPath string, resumeCp *job.Checkpoint) error {
 	// -stop-after-checkpoints interrupts through the same path Ctrl-C does:
 	// cancelling the run context after the Nth checkpoint lands.
 	ctx, cancelRun := context.WithCancel(ctx)
@@ -361,7 +327,7 @@ func runModel(ctx context.Context, w io.Writer, model string, cfg runConfig, see
 		CheckpointPath:   cpPath,
 		ResumeRecords:    resume,
 		ResumeCheckpoint: resumeCp,
-		TaskDeadline:     cfg.timeout,
+		TaskDeadline:     taskTimeout,
 		Progress: func(i, n int, name string) {
 			fmt.Fprintf(w, "[%2d/%2d] tuning %s\n", i, n, name)
 		},
@@ -371,8 +337,7 @@ func runModel(ctx context.Context, w io.Writer, model string, cfg runConfig, see
 				e.Index, e.Total, e.Name, e.Result.Measurements, e.Elapsed.Round(time.Millisecond))
 		},
 	}
-	if cfg.stopAfter > 0 {
-		stopAfter := cfg.stopAfter
+	if stopAfter > 0 {
 		opts.AfterCheckpoint = func(n int) {
 			if n >= stopAfter {
 				cancelRun()
@@ -380,7 +345,7 @@ func runModel(ctx context.Context, w io.Writer, model string, cfg runConfig, see
 		}
 	}
 
-	res, err := job.Run(ctx, cfg.spec(model, seed), opts)
+	res, err := job.Run(ctx, spec, opts)
 	if res.Streamed {
 		fmt.Fprintf(w, "streamed %d records to %s\n", res.Records, logPath)
 	}

@@ -2,8 +2,8 @@
 // templates — any workload with a knob space can be tuned. This example
 // defines a custom space for a wide dense layer (a different split
 // structure than the stock template) and a custom evaluation-function
-// trainer, then runs the paper's BTED + BAO machinery directly from the
-// active package.
+// trainer, then tunes it with the paper's BTED + BAO through the same
+// tuning path every built-in task takes (tuner.Tune on a seeded backend).
 //
 // Run with:
 //
@@ -11,13 +11,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/active"
 	"repro/internal/backend"
 	"repro/internal/space"
 	"repro/internal/tensor"
+	"repro/internal/tuner"
 	"repro/internal/xgb"
 )
 
@@ -35,58 +36,51 @@ func main() {
 		space.NewEnumKnob(space.KnobUnrollExplicit, 0, 1),
 	)
 	fmt.Printf("custom space: %d configurations\n", sp.Size())
+	task := &tuner.Task{Name: "custom.dense", Workload: w, Space: sp, Count: 1}
 
-	// Measurement goes through the backend layer; the shared-stream Measure
-	// path is fine here because this example is strictly sequential.
 	b, err := backend.New("gtx1080ti", 3)
 	if err != nil {
 		panic(err)
 	}
-	measure := func(c space.Config) (float64, bool) {
-		m := b.Measure(w, c)
-		return m.GFLOPS, m.Valid
-	}
 
-	//lint:ignore seedflow fixed demo seed: the example's output is meant to be reproducible verbatim
-	rng := rand.New(rand.NewSource(99))
-
-	// Stage 1: BTED initialization (Algorithms 1 & 2).
-	bted := active.DefaultBTEDParams()
-	bted.M0 = 24
-	init := active.BTED(sp, bted, rng)
-	samples := make([]active.Sample, 0, len(init))
-	for _, c := range init {
-		g, ok := measure(c)
-		samples = append(samples, active.Sample{Config: c, GFLOPS: g, Valid: ok})
+	// BAO with a custom evaluation function — a heavier GBT than the
+	// default, demonstrating the pluggable trainer interface.
+	tn := &tuner.AdvancedTuner{
+		BTED: active.DefaultBTEDParams(),
+		Trainer: active.XGBTrainer{Params: func() xgb.Params {
+			p := xgb.DefaultParams()
+			p.NumRounds = 40
+			p.MaxDepth = 6
+			return p
+		}()},
 	}
-	initBest, _ := active.Best(samples)
-	fmt.Printf("BTED init: %d diverse configs, best %.1f GFLOPS\n", len(init), initBest.GFLOPS)
-
-	// Stage 2: BAO with a custom evaluation function — a heavier GBT than
-	// the default, demonstrating the pluggable trainer interface.
-	trainer := active.XGBTrainer{Params: func() xgb.Params {
-		p := xgb.DefaultParams()
-		p.NumRounds = 40
-		p.MaxDepth = 6
-		return p
-	}()}
-	p := active.DefaultBAOParams()
-	p.T = 120
-	p.EarlyStop = 0
-	runningBest := initBest.GFLOPS
-	all := active.BAO(sp, trainer, samples, measure, p, rng, func(step int, s active.Sample) {
-		if s.Valid && s.GFLOPS > runningBest {
-			runningBest = s.GFLOPS
-		}
-		if step%40 == 0 {
-			fmt.Printf("  step %3d: best so far %.1f GFLOPS\n", step, runningBest)
-		}
-	})
-	best, ok := active.Best(all)
-	if !ok {
-		panic("no valid configuration found")
+	// 24 BTED initialization configs (Algorithms 1 & 2), then 120 BAO
+	// iterations (Algorithms 3 & 4).
+	const initSize, baoSteps = 24, 120
+	runningBest := 0.0
+	opts := tuner.Options{
+		Budget:    initSize + baoSteps,
+		PlanSize:  initSize,
+		EarlyStop: -1,
+		Seed:      99,
+		Observer: func(step int, s active.Sample) {
+			if s.Valid && s.GFLOPS > runningBest {
+				runningBest = s.GFLOPS
+			}
+			switch {
+			case step == initSize:
+				fmt.Printf("BTED init: %d diverse configs, best %.1f GFLOPS\n", initSize, runningBest)
+			case step > initSize && (step-initSize)%40 == 0:
+				fmt.Printf("  step %3d: best so far %.1f GFLOPS\n", step-initSize, runningBest)
+			}
+		},
 	}
-	fmt.Printf("BAO final: best %.1f GFLOPS after %d measurements\n", best.GFLOPS, len(all))
-	fmt.Printf("best config: %s\n", best.Config)
-	fmt.Printf("improvement over init: %.1f%%\n", 100*(best.GFLOPS-initBest.GFLOPS)/initBest.GFLOPS)
+	res, err := tuner.Tune(context.Background(), tn, task, b, opts)
+	if err != nil {
+		panic(err)
+	}
+	initBest, _ := active.Best(res.Samples[:initSize])
+	fmt.Printf("BAO final: best %.1f GFLOPS after %d measurements\n", res.Best.GFLOPS, res.Measurements)
+	fmt.Printf("best config: %s\n", res.Best.Config)
+	fmt.Printf("improvement over init: %.1f%%\n", 100*(res.Best.GFLOPS-initBest.GFLOPS)/initBest.GFLOPS)
 }

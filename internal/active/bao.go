@@ -123,18 +123,16 @@ func BootstrapSelectParallel(tr EvalTrainer, samples []Sample, cands []space.Con
 
 // BAOParams configures Bootstrap-guided adaptive optimization
 // (Algorithm 4). The paper's experimental settings are eta=0.05, Gamma=2,
-// tau=1.5, R=3.
+// tau=1.5, R=3. How long a run lasts is the driver's decision: a BAORun
+// takes one step per call and never stops on its own while unmeasured
+// configurations remain.
 type BAOParams struct {
-	T     int     // optimization iterations (measurement budget after init)
 	Eta   float64 // relative-improvement threshold
 	Gamma int     // number of bootstrap resamples
 	Tau   float64 // radius growth factor (>1)
 	R     float64 // neighborhood radius in knob-index space
 	// MaxCandidates caps each step's neighborhood (0 = package default).
 	MaxCandidates int
-	// EarlyStop ends the loop after this many consecutive measurements
-	// without improving the incumbent (0 disables; AutoTVM uses 400).
-	EarlyStop int
 	// GlobalFallbackAfter switches the searching scope C_t from the
 	// incumbent's neighborhood to a bootstrap-scored uniform global sample
 	// after this many consecutive non-improving steps, returning to the
@@ -148,24 +146,14 @@ type BAOParams struct {
 	// LiteralCeil applies the ceiling of the paper's Eq. (1) verbatim
 	// instead of the plain relative improvement (ablation; see DESIGN.md).
 	LiteralCeil bool
-	// Stop, when non-nil, is polled before every iteration; a true return
-	// ends the loop immediately. The tuning engine uses it for cooperative
-	// cancellation, so BAO's expensive per-step bootstrap trainings never
-	// run on after the session's context is done. Being a hook, it is not
-	// part of a run's serializable state: RestoreBAORun leaves it nil and
-	// the restoring driver re-imposes its own stopping policy.
-	Stop func() bool `json:"-"`
 }
 
 // DefaultBAOParams returns the paper's experimental settings.
 func DefaultBAOParams() BAOParams {
-	return BAOParams{T: 960, Eta: 0.05, Gamma: 2, Tau: 1.5, R: 3, EarlyStop: 400}
+	return BAOParams{Eta: 0.05, Gamma: 2, Tau: 1.5, R: 3}
 }
 
 func (p BAOParams) normalized() BAOParams {
-	if p.T <= 0 {
-		p.T = 960
-	}
 	if p.Eta <= 0 {
 		p.Eta = 0.05
 	}
@@ -190,16 +178,18 @@ func (p BAOParams) normalized() BAOParams {
 	return p
 }
 
-// StepObserver is invoked after each BAO measurement with the step index
-// (1-based) and the sample; used to record convergence curves.
-type StepObserver func(step int, s Sample)
-
-// BAO runs Bootstrap-guided adaptive optimization (Algorithm 4) starting
-// from the measured initialization set. Each iteration builds the search
-// scope C_t as the lattice neighborhood of the incumbent (radius R,
-// enlarged to tau*R when the relative improvement r_t of Eq. (1) falls
-// below eta), selects the next configuration with BootstrapSelect, deploys
-// it via measure, and folds the result into the observation set.
+// BAORun is Bootstrap-guided adaptive optimization (Algorithm 4) cut at
+// measurement boundaries. It holds only the algorithm's own iteration
+// state — the iteration number, the stall counter that triggers the global
+// fallback, and the last two best-so-far values Eq. (1) reads. The
+// observations themselves stay with the driver, which passes them to
+// every Step and records each deployment through its measure callback
+// (the tuner session layer owns the one ledger of a run).
+//
+// Each Step builds the search scope C_t as the lattice neighborhood of the
+// incumbent (radius R, enlarged to tau*R when the relative improvement r_t
+// of Eq. (1) falls below eta), selects the next configuration with
+// BootstrapSelect, and deploys it via measure.
 //
 // Interpretation notes (documented in DESIGN.md): y*_t is read as the best
 // performance known at step t, and the neighborhood centers on the config
@@ -209,147 +199,98 @@ type StepObserver func(step int, s Sample)
 // random unmeasured configuration, mirroring AutoTVM's epsilon-greedy
 // fallback.
 //
-// It returns all samples (initialization first, then one per iteration) in
-// measurement order. BAO is the one-shot driver over BAORun; stepwise
-// callers (the tuner session layer) use NewBAORun/Step directly.
-func BAO(sp *space.Space, tr EvalTrainer, init []Sample, measure MeasureFunc, p BAOParams, rng *rand.Rand, obs StepObserver) []Sample {
-	r := NewBAORun(sp, tr, init, p)
-	for !r.Step(rng, measure, obs) {
-	}
-	return r.Samples()
-}
-
-// BAORun is the resumable form of the BAO loop: iteration state cut at
-// measurement boundaries so an external driver can interleave many runs.
-// Each Step performs exactly one iteration of Algorithm 4 — plan the
-// searching scope, select via bootstrap, deploy one configuration — and is
-// bit-identical to the corresponding iteration of the one-shot BAO call
-// (the RNG is consumed in the same order). A BAORun is single-goroutine.
-//
 // The run holds no RNG of its own: the driver passes one to every Step, so
 // the whole iteration state is plain serializable data (State/
 // RestoreBAORun) and the RNG's continuity is the driver's concern — the
 // tuner layer threads a counted rng.Source through, snapshotted alongside.
+// A BAORun is single-goroutine.
 type BAORun struct {
 	sp           *space.Space
 	tr           EvalTrainer
 	p            BAOParams
-	samples      []Sample
-	measured     map[uint64]bool
-	bestIdx      int // incumbent index into samples; -1 while nothing valid
-	bestTrace    []float64
-	sinceImprove int
-	t            int // next iteration number, 1-based
-	stopped      bool
+	t            int       // next iteration number, 1-based
+	sinceImprove int       // steps since the incumbent last improved
+	bestTrace    []float64 // y*_{t-2}, y*_{t-1}: at most the last two best-so-far values
 }
 
 // NewBAORun prepares a run over the measured initialization set. Iteration
 // only happens in Step; construction consumes no randomness.
 func NewBAORun(sp *space.Space, tr EvalTrainer, init []Sample, p BAOParams) *BAORun {
-	r := &BAORun{sp: sp, tr: tr, p: p.normalized(), t: 1, bestIdx: -1}
-	r.samples = append([]Sample(nil), init...)
-	r.measured = make(map[uint64]bool, len(r.samples)+r.p.T)
-	for _, s := range r.samples {
-		r.measured[s.Config.Flat()] = true
-	}
-	// Incumbent: best valid sample so far.
-	for i, s := range r.samples {
-		if s.Valid && (r.bestIdx < 0 || s.GFLOPS > r.samples[r.bestIdx].GFLOPS) {
-			r.bestIdx = i
-		}
-	}
-	// Best-so-far trajectory y*_t for Eq. (1). bestTrace[t] is the best
-	// value known after iteration t; index 0 is the initialization.
-	r.bestTrace = []float64{0}
-	if r.bestIdx >= 0 {
-		r.bestTrace[0] = r.samples[r.bestIdx].GFLOPS
-	}
-	return r
+	// bestTrace[0] is y*_0, the best value of the initialization (0 while
+	// nothing is valid).
+	y0, _ := Best(init)
+	return &BAORun{sp: sp, tr: tr, p: p.normalized(), t: 1, bestTrace: []float64{y0.GFLOPS}}
 }
 
-// Done reports whether the run has finished: budget spent, early stopping
-// tripped, space exhausted, or the Stop hook fired.
-func (r *BAORun) Done() bool { return r.stopped || r.t > r.p.T }
-
-// Samples returns all samples in measurement order (initialization first,
-// then one per completed iteration).
-func (r *BAORun) Samples() []Sample { return r.samples }
-
-// Step performs one iteration of Algorithm 4, deploying (at most) one
-// configuration through measure, and reports whether the run is finished.
-// A finished run's Step is a no-op returning true. All randomness of the
-// iteration is drawn from rng, in a fixed order.
-func (r *BAORun) Step(rng *rand.Rand, measure MeasureFunc, obs StepObserver) bool {
-	if r.Done() {
-		r.stopped = true
-		return true
+// incumbent returns the index of the first best valid sample, or -1 when
+// none is valid.
+func incumbent(samples []Sample) int {
+	best := -1
+	for i, s := range samples {
+		if s.Valid && (best < 0 || s.GFLOPS > samples[best].GFLOPS) {
+			best = i
+		}
 	}
-	if r.p.Stop != nil && r.p.Stop() {
-		r.stopped = true
-		return true
-	}
-	t := r.t
+	return best
+}
+
+// Step performs one iteration of Algorithm 4 over the driver's ledger:
+// samples are every observation so far in measurement order, measured holds
+// the flat codes of every configuration already deployed, and measure
+// deploys the selected configuration and records it in that ledger, so
+// the next Step sees it. Step reports false, deploying nothing, when the
+// space is exhausted. All randomness of the iteration is drawn from rng, in
+// a fixed order.
+func (r *BAORun) Step(rng *rand.Rand, samples []Sample, measured map[uint64]bool, measure MeasureFunc) bool {
 	radius := r.p.R
-	if t >= 2 {
+	if r.t >= 2 {
 		rt := relativeImprovement(r.bestTrace, r.p.LiteralCeil)
 		if rt < r.p.Eta {
 			radius = r.p.Tau * r.p.R
 		}
 	}
 
+	best := incumbent(samples)
 	var cands []space.Config
 	useGlobal := r.p.GlobalFallbackAfter > 0 && r.sinceImprove >= r.p.GlobalFallbackAfter
-	if r.bestIdx >= 0 && !useGlobal {
-		cands = r.sp.Neighborhood(r.samples[r.bestIdx].Config, radius,
-			space.NeighborhoodOpts{MaxCandidates: r.p.MaxCandidates, Exclude: r.measured}, rng)
+	if best >= 0 && !useGlobal {
+		cands = r.sp.Neighborhood(samples[best].Config, radius,
+			space.NeighborhoodOpts{MaxCandidates: r.p.MaxCandidates, Exclude: measured}, rng)
 	} else if useGlobal {
-		cands = globalPool(r.sp, r.p.MaxCandidates, r.measured, rng)
+		cands = globalPool(r.sp, r.p.MaxCandidates, measured, rng)
 	}
 	var next space.Config
 	picked := false
 	if len(cands) > 0 {
-		if i, err := BootstrapSelect(r.tr, r.samples, cands, r.p.Gamma, rng); err == nil {
+		if i, err := BootstrapSelect(r.tr, samples, cands, r.p.Gamma, rng); err == nil {
 			next = cands[i]
 			picked = true
 		}
 	}
 	if !picked {
-		c, ok := randomUnmeasured(r.sp, r.measured, rng)
+		c, ok := randomUnmeasured(r.sp, measured, rng)
 		if !ok {
 			// The space is effectively exhausted: a re-measurement would
 			// only duplicate a known sample and burn a budget step.
-			r.stopped = true
-			return true
+			return false
 		}
 		next = c
 	}
 
 	g, valid := measure(next)
-	s := Sample{Config: next, GFLOPS: g, Valid: valid}
-	r.samples = append(r.samples, s)
-	r.measured[next.Flat()] = true
-	if obs != nil {
-		obs(t, s)
+	cur := 0.0
+	if best >= 0 {
+		cur = samples[best].GFLOPS
 	}
-
-	improved := valid && (r.bestIdx < 0 || g > r.samples[r.bestIdx].GFLOPS)
-	if improved {
-		r.bestIdx = len(r.samples) - 1
+	if valid && (best < 0 || g > cur) {
+		cur = g
 		r.sinceImprove = 0
 	} else {
 		r.sinceImprove++
 	}
-	cur := 0.0
-	if r.bestIdx >= 0 {
-		cur = r.samples[r.bestIdx].GFLOPS
-	}
-	r.bestTrace = append(r.bestTrace, cur)
+	r.bestTrace = []float64{r.bestTrace[len(r.bestTrace)-1], cur}
 	r.t++
-
-	if r.p.EarlyStop > 0 && r.sinceImprove >= r.p.EarlyStop {
-		r.stopped = true
-	}
-	return r.Done()
+	return true
 }
 
 // relativeImprovement computes Eq. (1) over the best-so-far trajectory:
@@ -404,16 +345,10 @@ func randomUnmeasured(sp *space.Space, measured map[uint64]bool, rng *rand.Rand)
 // Best returns the best valid sample of a run, and ok=false when every
 // sample was invalid.
 func Best(samples []Sample) (Sample, bool) {
-	best := -1
-	for i, s := range samples {
-		if s.Valid && (best < 0 || s.GFLOPS > samples[best].GFLOPS) {
-			best = i
-		}
+	if i := incumbent(samples); i >= 0 {
+		return samples[i], true
 	}
-	if best < 0 {
-		return Sample{}, false
-	}
-	return samples[best], true
+	return Sample{}, false
 }
 
 // BestTrace returns the best-so-far GFLOPS after each measurement, the

@@ -123,12 +123,47 @@ func TestBootstrapSelectGammaDefault(t *testing.T) {
 	}
 }
 
+// ledger is the test-local driver of a BAORun: like the tuner session it
+// owns the observations and the measured set, and its record callback
+// appends every deployment.
+type ledger struct {
+	samples  []Sample
+	measured map[uint64]bool
+	measure  MeasureFunc
+}
+
+func newLedger(init []Sample, measure MeasureFunc) *ledger {
+	l := &ledger{samples: append([]Sample(nil), init...), measured: make(map[uint64]bool), measure: measure}
+	for _, s := range init {
+		l.measured[s.Config.Flat()] = true
+	}
+	return l
+}
+
+func (l *ledger) record(c space.Config) (float64, bool) {
+	g, ok := l.measure(c)
+	l.samples = append(l.samples, Sample{Config: c, GFLOPS: g, Valid: ok})
+	l.measured[c.Flat()] = true
+	return g, ok
+}
+
+// runBAO steps a fresh BAORun over init for at most steps iterations
+// (fewer when the space runs out) and returns every sample in measurement
+// order, initialization first.
+func runBAO(sp *space.Space, tr EvalTrainer, init []Sample, measure MeasureFunc, p BAOParams, steps int, rng *rand.Rand) []Sample {
+	l := newLedger(init, measure)
+	r := NewBAORun(sp, tr, l.samples, p)
+	for i := 0; i < steps && r.Step(rng, l.samples, l.measured, l.record); i++ {
+	}
+	return l.samples
+}
+
 func TestBAOFindsNearOptimum(t *testing.T) {
 	sp := quadSpace()
 	rng := rand.New(rand.NewSource(4))
 	init := measureInit(sp, 16, rng, quadMeasure)
-	p := BAOParams{T: 120, Eta: 0.05, Gamma: 2, Tau: 1.5, R: 3}
-	samples := BAO(sp, NewXGBTrainer(), init, quadMeasure, p, rng, nil)
+	p := BAOParams{Eta: 0.05, Gamma: 2, Tau: 1.5, R: 3}
+	samples := runBAO(sp, NewXGBTrainer(), init, quadMeasure, p, 120, rng)
 	best, ok := Best(samples)
 	if !ok {
 		t.Fatal("no valid sample")
@@ -149,8 +184,8 @@ func TestBAOBeatsRandomSearch(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		rng := rand.New(rand.NewSource(int64(40 + r)))
 		init := measureInit(sp, 16, rng, quadMeasure)
-		p := BAOParams{T: 150, Eta: 0.05, Gamma: 2, Tau: 1.5, R: 3}
-		samples := BAO(sp, NewXGBTrainer(), init, quadMeasure, p, rng, nil)
+		p := BAOParams{Eta: 0.05, Gamma: 2, Tau: 1.5, R: 3}
+		samples := runBAO(sp, NewXGBTrainer(), init, quadMeasure, p, 150, rng)
 		baoBest, _ := Best(samples)
 
 		rng2 := rand.New(rand.NewSource(int64(140 + r)))
@@ -169,18 +204,36 @@ func TestBAOBeatsRandomSearch(t *testing.T) {
 	}
 }
 
+// TestBAOEarlyStopping: early stopping is the driver's. On a constant
+// landscape a BAORun keeps deploying while unmeasured configurations
+// remain — it has no stopping rule of its own — and its stall counter,
+// which only chooses the searching scope, agrees with the driver's count
+// of non-improving measurements when the driver stops.
 func TestBAOEarlyStopping(t *testing.T) {
 	sp := quadSpace()
 	rng := rand.New(rand.NewSource(5))
-	// Constant landscape: nothing ever improves, so the loop must stop
-	// after exactly EarlyStop+... iterations past the first.
 	flat := func(space.Config) (float64, bool) { return 1.0, true }
 	init := measureInit(sp, 8, rng, flat)
-	p := BAOParams{T: 500, EarlyStop: 20, Gamma: 1}
-	samples := BAO(sp, NewXGBTrainer(), init, flat, p, rng, nil)
-	iters := len(samples) - len(init)
-	if iters > 25 {
-		t.Fatalf("early stopping did not trigger: %d iterations", iters)
+	l := newLedger(init, flat)
+	r := NewBAORun(sp, NewXGBTrainer(), l.samples, BAOParams{Gamma: 1})
+	const earlyStop = 20
+	since := 0
+	for since < earlyStop {
+		best, _ := Best(l.samples)
+		if !r.Step(rng, l.samples, l.measured, l.record) {
+			t.Fatalf("BAO stopped on its own after %d steps", since)
+		}
+		if last := l.samples[len(l.samples)-1]; last.Valid && last.GFLOPS > best.GFLOPS {
+			since = 0
+		} else {
+			since++
+		}
+	}
+	if iters := len(l.samples) - len(init); iters != earlyStop {
+		t.Fatalf("driver stopped after %d iterations, want %d", iters, earlyStop)
+	}
+	if r.sinceImprove != earlyStop {
+		t.Fatalf("BAO stall counter %d, driver counted %d", r.sinceImprove, earlyStop)
 	}
 }
 
@@ -189,8 +242,7 @@ func TestBAOAllInvalidFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	invalid := func(space.Config) (float64, bool) { return 0, false }
 	init := measureInit(sp, 8, rng, invalid)
-	p := BAOParams{T: 10, Gamma: 1}
-	samples := BAO(sp, NewXGBTrainer(), init, invalid, p, rng, nil)
+	samples := runBAO(sp, NewXGBTrainer(), init, invalid, BAOParams{Gamma: 1}, 10, rng)
 	if len(samples) != len(init)+10 {
 		t.Fatalf("BAO with all-invalid measurements ran %d iters", len(samples)-len(init))
 	}
@@ -203,30 +255,31 @@ func TestBAOFailingTrainerFallsBack(t *testing.T) {
 	sp := quadSpace()
 	rng := rand.New(rand.NewSource(7))
 	init := measureInit(sp, 8, rng, quadMeasure)
-	p := BAOParams{T: 15, Gamma: 2}
-	samples := BAO(sp, failingTrainer{}, init, quadMeasure, p, rng, nil)
+	samples := runBAO(sp, failingTrainer{}, init, quadMeasure, BAOParams{Gamma: 2}, 15, rng)
 	if len(samples) != len(init)+15 {
 		t.Fatal("failing trainer should still complete via random fallback")
 	}
 }
 
+// TestBAOObserverAndDedup: every Step deploys exactly one configuration
+// through the driver's callback, in order, and never one the driver has
+// already measured.
 func TestBAOObserverAndDedup(t *testing.T) {
 	sp := quadSpace()
 	rng := rand.New(rand.NewSource(8))
 	init := measureInit(sp, 12, rng, quadMeasure)
-	steps := 0
-	p := BAOParams{T: 40, Gamma: 1}
-	samples := BAO(sp, NewXGBTrainer(), init, quadMeasure, p, rng, func(step int, s Sample) {
-		steps++
-		if step != steps {
-			t.Fatalf("observer step %d out of order", step)
+	l := newLedger(init, quadMeasure)
+	r := NewBAORun(sp, NewXGBTrainer(), l.samples, BAOParams{Gamma: 1})
+	for step := 1; step <= 40; step++ {
+		if !r.Step(rng, l.samples, l.measured, l.record) {
+			t.Fatalf("step %d deployed nothing", step)
 		}
-	})
-	if steps != 40 {
-		t.Fatalf("observer called %d times, want 40", steps)
+		if len(l.samples) != len(init)+step {
+			t.Fatalf("step %d: ledger holds %d samples, want %d", step, len(l.samples), len(init)+step)
+		}
 	}
 	seen := make(map[uint64]bool)
-	for _, s := range samples {
+	for _, s := range l.samples {
 		f := s.Config.Flat()
 		if seen[f] {
 			t.Fatal("BAO re-measured a configuration")
@@ -260,12 +313,11 @@ func TestRelativeImprovement(t *testing.T) {
 
 func TestBAOParamsNormalized(t *testing.T) {
 	p := BAOParams{}.normalized()
-	if p.T != 960 || p.Eta != 0.05 || p.Gamma != 2 || p.Tau != 1.5 || p.R != 3 {
+	if p.Eta != 0.05 || p.Gamma != 2 || p.Tau != 1.5 || p.R != 3 {
 		t.Fatalf("defaults wrong: %+v", p)
 	}
-	d := DefaultBAOParams()
-	if d.EarlyStop != 400 {
-		t.Fatalf("paper early stop wrong: %+v", d)
+	if d := DefaultBAOParams().normalized(); d != p {
+		t.Fatalf("paper settings %+v differ from the zero-value defaults %+v", d, p)
 	}
 }
 

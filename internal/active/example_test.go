@@ -23,32 +23,34 @@ func ExampleBTED() {
 	// initial configs: 16
 }
 
-// ExampleBAO runs the full advanced active-learning flow against the
+// ExampleBAORun runs the full advanced active-learning flow against the
 // simulated GPU: BTED initialization followed by Bootstrap-guided adaptive
-// optimization.
-func ExampleBAO() {
+// optimization. The driver owns the observations: each Step reads them and
+// records its one deployment through the measure callback.
+func ExampleBAORun() {
 	w := tensor.Conv2D(1, 32, 28, 28, 64, 3, 1, 1)
 	sp, _ := space.ForWorkload(w)
 	sim := hwsim.NewSimulator(hwsim.GTX1080Ti(), 7)
 	rng := rand.New(rand.NewSource(7))
 
+	var samples []active.Sample
+	measured := make(map[uint64]bool)
 	measure := func(c space.Config) (float64, bool) {
 		m := sim.Measure(w, c)
+		samples = append(samples, active.Sample{Config: c, GFLOPS: m.GFLOPS, Valid: m.Valid})
+		measured[c.Flat()] = true
 		return m.GFLOPS, m.Valid
 	}
-	var init []active.Sample
 	bp := active.DefaultBTEDParams()
 	bp.M0 = 16
 	for _, c := range active.BTED(sp, bp, rng) {
-		g, ok := measure(c)
-		init = append(init, active.Sample{Config: c, GFLOPS: g, Valid: ok})
+		measure(c)
 	}
-	p := active.DefaultBAOParams()
-	p.T = 64
-	p.EarlyStop = 0
-	samples := active.BAO(sp, active.NewXGBTrainer(), init, measure, p, rng, nil)
+	initBest, _ := active.Best(samples)
+	run := active.NewBAORun(sp, active.NewXGBTrainer(), samples, active.DefaultBAOParams())
+	for step := 0; step < 64 && run.Step(rng, samples, measured, measure); step++ {
+	}
 	best, ok := active.Best(samples)
-	initBest, _ := active.Best(init)
 	fmt.Println("measurements:", len(samples))
 	fmt.Println("improved:", ok && best.GFLOPS > initBest.GFLOPS)
 	// Output:

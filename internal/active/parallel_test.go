@@ -76,16 +76,15 @@ func tinySpace() *space.Space {
 }
 
 // TestBAOTinySpaceNoDuplicates is the regression test for the budget-burn
-// bug: when the space is exhausted mid-run, randomUnmeasured now reports
-// !ok and BAO breaks instead of re-measuring known configurations. The
+// bug: when the space is exhausted mid-run, randomUnmeasured reports !ok
+// and Step deploys nothing instead of re-measuring known configurations. The
 // returned samples must contain every configuration at most once.
 func TestBAOTinySpaceNoDuplicates(t *testing.T) {
 	sp := tinySpace()
 	rng := rand.New(rand.NewSource(31))
 	flat := func(space.Config) (float64, bool) { return 1.0, true }
 	init := measureInit(sp, 3, rng, flat)
-	p := BAOParams{T: 50, Gamma: 1}
-	samples := BAO(sp, NewXGBTrainer(), init, flat, p, rng, nil)
+	samples := runBAO(sp, NewXGBTrainer(), init, flat, BAOParams{Gamma: 1}, 50, rng)
 
 	seen := make(map[uint64]bool)
 	for _, s := range samples {

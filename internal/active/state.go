@@ -44,68 +44,43 @@ func SamplesFromState(sp *space.Space, st []SampleState) ([]Sample, error) {
 	return out, nil
 }
 
-// BAOState is the serializable state of a BAORun at a Step boundary.
-// Everything a continuation needs is explicit: the normalized parameters
-// (minus the non-serializable Stop hook), every sample in measurement
-// order, and the incumbent/trajectory/stall counters. The measured set is
-// rebuilt from the samples on restore.
+// BAOState is the serializable state of a BAORun at a Step boundary:
+// Algorithm 4's own counters and nothing else. The observations are the
+// driver's and are snapshotted there; the parameters come from the
+// restoring driver, as for a fresh run. Snapshots from older versions
+// carried the samples, parameters, incumbent index and the whole
+// best-so-far trace as well; decoding ignores the extra fields and
+// RestoreBAORun keeps only the trace's last two values.
 type BAOState struct {
-	Params       BAOParams     `json:"params"`
-	Samples      []SampleState `json:"samples"`
-	BestIdx      int           `json:"best_idx"`
-	BestTrace    []float64     `json:"best_trace"`
-	SinceImprove int           `json:"since_improve"`
-	T            int           `json:"t"`
-	Stopped      bool          `json:"stopped"`
+	T            int       `json:"t"`
+	SinceImprove int       `json:"since_improve"`
+	BestTrace    []float64 `json:"best_trace"`
 }
 
 // State captures the run at a Step boundary. Restoring through
-// RestoreBAORun and continuing with the same RNG stream is bit-identical
-// to never having stopped.
+// RestoreBAORun and continuing over the same ledger with the same RNG
+// stream is bit-identical to never having stopped.
 func (r *BAORun) State() BAOState {
-	return BAOState{
-		Params:       r.p,
-		Samples:      SamplesToState(r.samples),
-		BestIdx:      r.bestIdx,
-		BestTrace:    append([]float64(nil), r.bestTrace...),
-		SinceImprove: r.sinceImprove,
-		T:            r.t,
-		Stopped:      r.stopped,
-	}
+	return BAOState{T: r.t, SinceImprove: r.sinceImprove, BestTrace: append([]float64(nil), r.bestTrace...)}
 }
 
 // RestoreBAORun rebuilds a run from a State captured on the same search
-// space. The trainer is supplied fresh (trainers are pure functions of
-// their arguments and carry no run state); Params.Stop is left nil — the
-// restoring driver re-imposes its own stopping policy.
-func RestoreBAORun(sp *space.Space, tr EvalTrainer, st BAOState) (*BAORun, error) {
-	samples, err := SamplesFromState(sp, st.Samples)
-	if err != nil {
-		return nil, fmt.Errorf("active: restore BAO run: %w", err)
-	}
-	if st.BestIdx >= len(samples) {
-		return nil, fmt.Errorf("active: restore BAO run: best index %d out of range (%d samples)", st.BestIdx, len(samples))
-	}
-	if len(st.BestTrace) == 0 {
+// space. The trainer and parameters are supplied fresh (trainers are pure
+// functions of their arguments and carry no run state).
+func RestoreBAORun(sp *space.Space, tr EvalTrainer, p BAOParams, st BAOState) (*BAORun, error) {
+	trace := st.BestTrace
+	if len(trace) == 0 {
 		return nil, fmt.Errorf("active: restore BAO run: empty best trace")
 	}
-	r := &BAORun{
+	if len(trace) > 2 {
+		trace = trace[len(trace)-2:]
+	}
+	return &BAORun{
 		sp:           sp,
 		tr:           tr,
-		p:            st.Params.normalized(),
-		samples:      samples,
-		bestIdx:      st.BestIdx,
-		bestTrace:    append([]float64(nil), st.BestTrace...),
-		sinceImprove: st.SinceImprove,
+		p:            p.normalized(),
 		t:            st.T,
-		stopped:      st.Stopped,
-	}
-	if r.bestIdx < 0 {
-		r.bestIdx = -1
-	}
-	r.measured = make(map[uint64]bool, len(samples)+r.p.T)
-	for _, s := range samples {
-		r.measured[s.Config.Flat()] = true
-	}
-	return r, nil
+		sinceImprove: st.SinceImprove,
+		bestTrace:    append([]float64(nil), trace...),
+	}, nil
 }

@@ -55,8 +55,7 @@ func TestBAOWithEachTrainer(t *testing.T) {
 			sp := quadSpace()
 			rng := rand.New(rand.NewSource(11))
 			init := measureInit(sp, 16, rng, quadMeasure)
-			p := BAOParams{T: 60, Gamma: 2}
-			samples := BAO(sp, tc.tr, init, quadMeasure, p, rng, nil)
+			samples := runBAO(sp, tc.tr, init, quadMeasure, BAOParams{Gamma: 2}, 60, rng)
 			best, ok := Best(samples)
 			if !ok {
 				t.Fatal("no valid sample")
@@ -94,8 +93,8 @@ func TestBAOStrictlyLocalStalls(t *testing.T) {
 			g, ok := measure(c)
 			init = append(init, Sample{Config: c, GFLOPS: g, Valid: ok})
 		}
-		p := BAOParams{T: 240, Gamma: 2, GlobalFallbackAfter: fallback}
-		samples := BAO(sp, NewXGBTrainer(), init, measure, p, rng, nil)
+		p := BAOParams{Gamma: 2, GlobalFallbackAfter: fallback}
+		samples := runBAO(sp, NewXGBTrainer(), init, measure, p, 240, rng)
 		trace := BestTrace(samples)
 		return trace[len(trace)/4], trace[len(trace)-1]
 	}

@@ -8,7 +8,7 @@ import (
 // MutexCopy flags by-value copies of structs that contain a sync.Mutex,
 // sync.RWMutex, sync.WaitGroup, or sync.Once — directly or through nested
 // struct/array fields. A copied lock is an independent lock: code that
-// copies hwsim.Simulator, transfer.History, or backend.Flaky gets a
+// copies hwsim.Simulator, transfer.History, or backend.SharedCache gets a
 // mutex that no longer guards anything. Flagged sites: by-value receivers,
 // parameters, and results; assignments from existing lock-holding values;
 // by-value call arguments; and range clauses that copy lock-holding

@@ -1,10 +1,10 @@
 // Package backend defines the measurement environment of a tuning session
 // as a composable interface layer. A Backend is what a tuner deploys
 // configurations to: the base implementation adapts *hwsim.Simulator under
-// a registry of named devices, and wrappers layer orthogonal behaviour on
-// top — deterministic memoization (Cache), raw-call accounting (Counting),
-// failure injection (Flaky), and record-log replay (Replay) — without the
-// tuners knowing which stack they talk to.
+// a registry of named devices, and WithShared layers a deterministic
+// cross-run measurement memo (SharedCache) on top without the tuners
+// knowing which stack they talk to. Raw-call accounting is the
+// simulator's own (Sim.Simulator().MeasureCount()).
 package backend
 
 import (
@@ -24,8 +24,9 @@ import (
 // noiseSeed) — never on call order or the calling goroutine — and must be
 // safe for concurrent use. The tuning stack measures only through
 // MeasureSeeded and refuses a backend whose Seeded reports false (a tuner
-// session fails to open); Measure is the direct one-off call for code that
-// deploys a configuration outside a tuning run (examples/customop).
+// session fails to open). Measure, the shared-stream call, has no caller
+// in the tuning stack or the examples; it stays in the interface only
+// because the benchmark harness's timing wrapper forwards it.
 type Backend interface {
 	// Name identifies the backend stack, e.g. "gtx1080ti" or
 	// "cache(gtx1080ti)".

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/hwsim"
-	"repro/internal/record"
 	"repro/internal/space"
 	"repro/internal/tensor"
 )
@@ -132,9 +131,8 @@ func TestCacheUnseededPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := NewCounting(b)
 	sc := NewSharedCache(0)
-	cache := WithShared(counting, sc)
+	cache := WithShared(b, sc)
 	c := sp.FromFlat(3)
 	cache.Measure(w, c)
 	cache.MeasureSeeded(w, c, 7)
@@ -143,92 +141,7 @@ func TestCacheUnseededPassThrough(t *testing.T) {
 	if st := sc.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("shared-stream Measure must never be cached: %+v", st)
 	}
-	if counting.Calls() != 3 {
-		t.Fatalf("pass-through lost calls: %d, want 2 unseeded + 1 seeded miss", counting.Calls())
-	}
-}
-
-func TestCountingAccounts(t *testing.T) {
-	w, sp := testWorkload(t)
-	b, err := New("gtx1080ti", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counting := NewCounting(b)
-	counting.Measure(w, sp.FromFlat(1))
-	counting.MeasureSeeded(w, sp.FromFlat(2), 11)
-	counting.MeasureSeeded(w, sp.FromFlat(3), 12)
-	if counting.Calls() != 3 || counting.SeededCalls() != 2 {
-		t.Fatalf("calls=%d seeded=%d", counting.Calls(), counting.SeededCalls())
-	}
-	if !counting.Seeded() {
-		t.Fatal("counting must forward Seeded")
-	}
-}
-
-func TestFlakySeededIsOrderIndependent(t *testing.T) {
-	w, sp := testWorkload(t)
-	b, err := New("gtx1080ti", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaky := NewFlaky(b, 0.5, 1)
-	// Forward sweep, then reverse sweep on a fresh wrapper: the injected
-	// failures must land on the same (config, seed) pairs.
-	forward := make([]bool, 32)
-	for i := range forward {
-		forward[i] = flaky.MeasureSeeded(w, sp.FromFlat(uint64(i)), int64(i)).Valid
-	}
-	b2, err := New("gtx1080ti", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaky2 := NewFlaky(b2, 0.5, 1)
-	for i := len(forward) - 1; i >= 0; i-- {
-		if got := flaky2.MeasureSeeded(w, sp.FromFlat(uint64(i)), int64(i)).Valid; got != forward[i] {
-			t.Fatalf("seeded failure injection depends on call order at %d", i)
-		}
-	}
-	if flaky.Failures() == 0 || flaky.Failures() == len(forward) {
-		t.Fatalf("failures=%d of %d; injection should be partial at p=0.5", flaky.Failures(), len(forward))
-	}
-	if flaky2.Failures() != flaky.Failures() {
-		t.Fatalf("failure counts diverge: %d vs %d", flaky.Failures(), flaky2.Failures())
-	}
-}
-
-func TestReplayServesLoggedMeasurements(t *testing.T) {
-	w, sp := testWorkload(t)
-	logged := sp.FromFlat(5)
-	recs := []record.Record{
-		{Task: "t", Workload: w.Key(), Tuner: "x", Step: 1, Config: logged.Index, GFLOPS: 123.5, Valid: true},
-		{Task: "t", Workload: "unknown-workload", Tuner: "x", Step: 2, Config: logged.Index, GFLOPS: 1, Valid: true},
-	}
-	spaces := map[string]*space.Space{w.Key(): sp}
-
-	replayOnly := NewReplay(recs, spaces, nil)
-	if got := replayOnly.MeasureSeeded(w, logged, 77); !got.Valid || got.GFLOPS != 123.5 {
-		t.Fatalf("logged measurement not replayed: %+v", got)
-	}
-	if got := replayOnly.Measure(w, sp.FromFlat(6)); got.Valid {
-		t.Fatal("replay-only miss must be invalid")
-	}
-	if replayOnly.Hits() != 1 || replayOnly.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d", replayOnly.Hits(), replayOnly.Misses())
-	}
-	if _, _, err := replayOnly.NetworkLatency(nil, 10); err == nil {
-		t.Fatal("replay-only NetworkLatency must error")
-	}
-
-	inner, err := New("gtx1080ti", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := NewReplay(recs, spaces, inner)
-	if got := replay.MeasureSeeded(w, sp.FromFlat(6), 8); !got.Valid {
-		t.Fatalf("miss must forward to inner backend: %+v", got)
-	}
-	if !strings.HasPrefix(replay.Name(), "replay(") {
-		t.Fatalf("name = %q", replay.Name())
+	if n := b.Simulator().MeasureCount(); n != 3 {
+		t.Fatalf("pass-through lost calls: %d, want 2 unseeded + 1 seeded miss", n)
 	}
 }

@@ -120,17 +120,16 @@ func TestSharedCacheUnseededPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := NewCounting(b)
-	sh := WithShared(counting, sc)
+	sh := WithShared(b, sc)
 	sh.Measure(w, sp.FromFlat(3))
 	sh.Measure(w, sp.FromFlat(3))
 	if st := sc.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("unseeded Measure touched the memo: %+v", st)
 	}
-	if counting.Calls() != 2 {
-		t.Fatalf("pass-through lost calls: %d", counting.Calls())
+	if n := b.Simulator().MeasureCount(); n != 2 {
+		t.Fatalf("pass-through lost calls: %d", n)
 	}
-	if sh.Name() != counting.Name() {
+	if sh.Name() != b.Name() {
 		t.Fatalf("Shared must keep the inner name, got %q", sh.Name())
 	}
 	if WithShared(b, nil) != Backend(b) {

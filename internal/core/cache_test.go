@@ -25,15 +25,16 @@ func TestPipelineCacheSavesRemeasurements(t *testing.T) {
 		return dep
 	}
 
-	rawCount := backend.NewCounting(backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 31)))
-	plain := run(rawCount)
+	raw := backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 31))
+	plain := run(raw)
 
-	cachedCount := backend.NewCounting(backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 31)))
+	cachedRaw := backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 31))
 	sc := backend.NewSharedCache(0)
-	cached := run(backend.WithShared(cachedCount, sc))
+	cached := run(backend.WithShared(cachedRaw, sc))
 
-	if cachedCount.Calls() >= rawCount.Calls() {
-		t.Fatalf("cache saved nothing: %d raw calls vs %d uncached", cachedCount.Calls(), rawCount.Calls())
+	rawCalls, cachedCalls := raw.Simulator().MeasureCount(), cachedRaw.Simulator().MeasureCount()
+	if cachedCalls >= rawCalls {
+		t.Fatalf("cache saved nothing: %d raw calls vs %d uncached", cachedCalls, rawCalls)
 	}
 	if sc.Stats().Hits == 0 {
 		t.Fatal("re-measure-top-K produced no cache hits")

@@ -21,7 +21,7 @@ func TestFanoutSlowSubscribersNeverBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewManager(store, 1)
+	mgr := NewManagerWith(store, ManagerOptions{Concurrency: 1})
 	defer mgr.Close()
 
 	spec := tinySpec(3200)

@@ -246,14 +246,9 @@ type ManagerOptions struct {
 	Shared *backend.SharedCache
 }
 
-// NewManager builds a manager over the store running at most concurrency
-// jobs at once (minimum 1). Call Recover to re-admit jobs a previous
-// daemon left behind, then Submit freely.
-func NewManager(store *Store, concurrency int) *Manager {
-	return NewManagerWith(store, ManagerOptions{Concurrency: concurrency})
-}
-
-// NewManagerWith is NewManager with the full option set.
+// NewManagerWith builds a manager over the store with the given options.
+// Call Recover to re-admit jobs a previous daemon left behind, then Submit
+// freely.
 func NewManagerWith(store *Store, opts ManagerOptions) *Manager {
 	if opts.Concurrency < 1 {
 		opts.Concurrency = 1

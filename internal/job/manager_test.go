@@ -59,7 +59,7 @@ func TestManagerCrashResumeCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	const id = "crash-1"
-	mgr1 := NewManager(store, 1)
+	mgr1 := NewManagerWith(store, ManagerOptions{Concurrency: 1})
 	if _, err := mgr1.Submit(Submit{ID: id, Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestManagerCrashResumeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr2 := NewManager(store2, 1)
+	mgr2 := NewManagerWith(store2, ManagerOptions{Concurrency: 1})
 	if err := mgr2.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestManagerFIFOAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewManager(store, 1)
+	mgr := NewManagerWith(store, ManagerOptions{Concurrency: 1})
 	defer mgr.Close()
 
 	slow := tinySpec(2034)
@@ -269,7 +269,7 @@ func TestManagerSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewManager(store, 1)
+	mgr := NewManagerWith(store, ManagerOptions{Concurrency: 1})
 
 	if _, err := mgr.Submit(Submit{Spec: Spec{Model: "nope"}}); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("bad spec = %v, want ErrBadSpec", err)
@@ -322,7 +322,7 @@ func TestManagerRecoverTerminalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr1 := NewManager(store, 1)
+	mgr1 := NewManagerWith(store, ManagerOptions{Concurrency: 1})
 	st, err := mgr1.Submit(Submit{ID: "done-1", Spec: tinySpec(2038)})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestManagerRecoverTerminalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr2 := NewManager(store2, 1)
+	mgr2 := NewManagerWith(store2, ManagerOptions{Concurrency: 1})
 	if err := mgr2.Recover(); err != nil {
 		t.Fatal(err)
 	}

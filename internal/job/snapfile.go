@@ -14,7 +14,6 @@ import (
 // the caller checks Err once at the end. Every append is a single Write,
 // so a crash tears at most the final frame.
 type SnapFile struct {
-	path string
 	f    *os.File
 	werr error
 }
@@ -32,11 +31,8 @@ func CreateSnapFile(path string, appendMode bool) (*SnapFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SnapFile{path: path, f: f}, nil
+	return &SnapFile{f: f}, nil
 }
-
-// Path returns the stream's file path.
-func (s *SnapFile) Path() string { return s.path }
 
 // Append writes one frame, latching the first failure: later appends are
 // no-ops returning the latched error, which Err also reports.

@@ -95,13 +95,12 @@ func TestStoreLoadCheckpointClassifies(t *testing.T) {
 		t.Fatalf("LoadCheckpoint on a record log = %v, want a loud classification error", err)
 	}
 
-	// A real frame round-trips with Path set for append-mode resume.
+	// A real frame round-trips.
 	cpIn := checkpointOf(spec, 3, &sched.Checkpoint{Round: 2})
-	f, err := os.Create(s.SnapPath("j1"))
+	sf, err := CreateSnapFile(s.SnapPath("j1"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf := &SnapFile{path: s.SnapPath("j1"), f: f}
 	if err := sf.Append(CheckpointKind, cpIn); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func crashLog(t *testing.T, n, cut int) []byte {
 
 // TestReadTruncatedFinalLine is the crash-recovery contract: a run killed
 // mid-Append leaves a partial last line, and Read must hand back the intact
-// prefix — the records Resume and backend.Replay can still use — instead of
+// prefix — the records a resume can still use — instead of
 // refusing the whole log.
 func TestReadTruncatedFinalLine(t *testing.T) {
 	whole := crashLog(t, 4, 0)

@@ -53,7 +53,7 @@ func Write(w io.Writer, recs []Record) error {
 // Read decodes JSON-line records until EOF. Blank lines are skipped, and a
 // malformed *final* line is dropped silently: a crash mid-Append leaves a
 // truncated last line behind, and the intact prefix is exactly what a
-// StreamWriter had checkpointed — so Resume and backend.Replay still load
+// StreamWriter had checkpointed — so a run resumed from the log still loads
 // everything that was actually measured. A malformed line with more content
 // after it is genuine corruption and stays an error.
 func Read(r io.Reader) ([]Record, error) {

@@ -323,54 +323,71 @@ func TestCheckpointElapsedAccumulates(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeSequentialFixture pins on-disk compatibility: the
-// fixture holds every checkpoint that the dedicated sequential driver (which
-// predates the sequential policy) wrote for a transfer-on autotvm run
-// (schedTasks, budget 32, plan 8, backend seed 13), plus that run's outcomes.
-// Each checkpoint must still resume to outcomes identical to the reference.
+// TestCheckpointResumeSequentialFixture pins on-disk compatibility with
+// checkpoints written by older code, for transfer-on runs over schedTasks
+// (budget per task, plan 8, run seed 17, backend seed 13, task-concurrency
+// 1). Each fixture holds every checkpoint its run wrote plus the run's
+// outcomes, and each checkpoint must still resume to outcomes identical to
+// that reference:
+//   - sequential_v1.snap: autotvm, budget 32, written by the dedicated
+//     sequential driver that predates the sequential policy;
+//   - bted_bao_v1.snap: bted+bao, budget 20, written while BAO kept its own
+//     copy of the samples, parameters and full best-so-far trace in every
+//     session snapshot.
 func TestCheckpointResumeSequentialFixture(t *testing.T) {
-	frames, err := snap.ReadFile(filepath.Join("testdata", "sequential_v1.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks := schedTasks(t)
-	var want []OutcomeState
-	var cps []*Checkpoint
-	for _, f := range frames {
-		switch f.Kind {
-		case "sched-outcomes/v1":
-			if err := f.Unmarshal(&want); err != nil {
+	for _, fx := range []struct {
+		file   string
+		tuner  tuner.Tuner
+		budget int
+	}{
+		{"sequential_v1.snap", tuner.NewAutoTVM(), 32},
+		{"bted_bao_v1.snap", tuner.NewBTEDBAO(), 20},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			frames, err := snap.ReadFile(filepath.Join("testdata", fx.file))
+			if err != nil {
 				t.Fatal(err)
 			}
-		case "sched-checkpoint/v1":
-			var cp Checkpoint
-			if err := f.Unmarshal(&cp); err != nil {
-				t.Fatal(err)
+			tasks := schedTasks(t)
+			var want []OutcomeState
+			var cps []*Checkpoint
+			for _, f := range frames {
+				switch f.Kind {
+				case "sched-outcomes/v1":
+					if err := f.Unmarshal(&want); err != nil {
+						t.Fatal(err)
+					}
+				case "sched-checkpoint/v1":
+					var cp Checkpoint
+					if err := f.Unmarshal(&cp); err != nil {
+						t.Fatal(err)
+					}
+					cps = append(cps, &cp)
+				}
 			}
-			cps = append(cps, &cp)
-		}
-	}
-	if len(want) != len(tasks) || len(cps) < 3 {
-		t.Fatalf("fixture holds %d outcomes and %d checkpoints", len(want), len(cps))
-	}
-	for k, cp := range cps {
-		if cp.Driver != DriverSequential {
-			t.Fatalf("checkpoint %d: driver %q", k, cp.Driver)
-		}
-		got, err := Run(context.Background(), tuner.NewAutoTVM(), schedBackend(t, 13),
-			specsFor(tasks, 32, 17, 1, transfer.NewHistory()), Options{Resume: cp})
-		if err != nil {
-			t.Fatalf("checkpoint %d: resume: %v", k, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("checkpoint %d: %d outcomes, want %d", k, len(got), len(want))
-		}
-		for i, o := range got {
-			a, _ := json.Marshal(outcomeState(o))
-			b, _ := json.Marshal(want[i])
-			if !bytes.Equal(a, b) {
-				t.Fatalf("checkpoint %d: task %d outcome differs from the uninterrupted run", k, i)
+			if len(want) != len(tasks) || len(cps) < 3 {
+				t.Fatalf("fixture holds %d outcomes and %d checkpoints", len(want), len(cps))
 			}
-		}
+			for k, cp := range cps {
+				if cp.Driver != DriverSequential {
+					t.Fatalf("checkpoint %d: driver %q", k, cp.Driver)
+				}
+				got, err := Run(context.Background(), fx.tuner, schedBackend(t, 13),
+					specsFor(tasks, fx.budget, 17, 1, transfer.NewHistory()), Options{Resume: cp})
+				if err != nil {
+					t.Fatalf("checkpoint %d: resume: %v", k, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("checkpoint %d: %d outcomes, want %d", k, len(got), len(want))
+				}
+				for i, o := range got {
+					a, _ := json.Marshal(outcomeState(o))
+					b, _ := json.Marshal(want[i])
+					if !bytes.Equal(a, b) {
+						t.Fatalf("checkpoint %d: task %d outcome differs from the uninterrupted run", k, i)
+					}
+				}
+			}
+		})
 	}
 }

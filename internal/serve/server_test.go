@@ -121,7 +121,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := job.NewManager(store, 1)
+	plain := job.NewManagerWith(store, job.ManagerOptions{Concurrency: 1})
 	defer plain.Close()
 	srvPlain := httptest.NewServer(New(plain))
 	defer srvPlain.Close()

@@ -18,8 +18,8 @@ type AdvancedTuner struct {
 	// BTED configures the initialization (zero value = paper defaults).
 	BTED active.BTEDParams
 	// BAO configures the iterative stage (zero value = paper defaults:
-	// eta 0.05, Gamma 2, tau 1.5, R 3). T and EarlyStop are overridden
-	// from the run Options.
+	// eta 0.05, Gamma 2, tau 1.5, R 3). The run's budget and early
+	// stopping come from the Options, as for every tuner.
 	BAO active.BAOParams
 	// Trainer builds the bootstrap evaluation functions; nil selects the
 	// XGBoost trainer.
@@ -39,10 +39,11 @@ func (*AdvancedTuner) Name() string { return "bted+bao" }
 // set as one parallel batch, and each later step performs exactly one BAO
 // iteration (the BAO stage is inherently sequential — each step's
 // neighborhood depends on the previous measurement — so it deploys one
-// configuration at a time regardless of Workers). The BAO iteration state
-// (incumbent, trajectory, stall counters, every sample it has deployed)
-// rides in the snapshot; the bootstrap trainer is rebuilt fresh, trainers
-// being pure functions of their arguments.
+// configuration at a time regardless of Workers). BAO steps over the
+// session's own samples and visited set, so the snapshot adds only
+// Algorithm 4's counters (iteration, stall count, last two best-so-far
+// values) to the session state; the bootstrap trainer is rebuilt fresh,
+// trainers being pure functions of their arguments.
 func (t *AdvancedTuner) Open(task *Task, b backend.Backend, opts Options, st *SessionState) (*Session, error) {
 	opts = opts.normalized()
 	s, err := openSession(t.Name(), task, b, opts, st)
@@ -61,15 +62,15 @@ func (t *AdvancedTuner) Open(task *Task, b backend.Backend, opts Options, st *Se
 	}
 	var run *active.BAORun
 	if ex.BAO != nil {
-		run, err = active.RestoreBAORun(task.Space, trainer, *ex.BAO)
+		run, err = active.RestoreBAORun(task.Space, trainer, t.BAO, *ex.BAO)
 		if err != nil {
 			return nil, fmt.Errorf("tuner: restore %s: %w", t.Name(), err)
 		}
 	}
 	step := func(ctx context.Context) bool {
-		// Polled before every iteration, this check plays the role of the
-		// one-shot path's BAOParams.Stop hook: the run ends as soon as the
-		// session's budget, early stopping, or ctx says to.
+		// Polled before every iteration: the session's budget, early
+		// stopping and ctx are the only things that end a BAO run, short of
+		// an exhausted space.
 		if s.exhausted(ctx) {
 			return true
 		}
@@ -84,19 +85,10 @@ func (t *AdvancedTuner) Open(task *Task, b backend.Backend, opts Options, st *Se
 			s.measureBatch(ctx, init)
 
 			// ---- Iterative optimization: BAO (Algorithms 3 & 4) ----------
-			bao := t.BAO
-			bao.T = opts.Budget - len(s.samples)
-			if opts.EarlyStop > 0 {
-				bao.EarlyStop = opts.EarlyStop
-			} else {
-				bao.EarlyStop = 0
-			}
-			// Guarded so a non-positive remaining budget is not reset to the
-			// paper default by BAOParams.normalized().
-			if bao.T <= 0 || s.exhausted(ctx) {
+			if s.exhausted(ctx) {
 				return true
 			}
-			run = active.NewBAORun(task.Space, trainer, s.knowledge(), bao)
+			run = active.NewBAORun(task.Space, trainer, s.knowledge(), t.BAO)
 			return false
 		}
 		if run == nil {
@@ -116,15 +108,14 @@ func (t *AdvancedTuner) Open(task *Task, b backend.Backend, opts Options, st *Se
 			before := len(s.samples)
 			s.measure(ctx, c)
 			if len(s.samples) == before {
-				// Budget exhausted, cancelled, or config already visited:
-				// report an invalid deployment so BAO's own stopping logic
-				// winds down.
+				// Budget exhausted, early stopping tripped or cancelled: the
+				// exhausted check below ends the run.
 				return 0, false
 			}
 			last := s.samples[len(s.samples)-1]
 			return last.GFLOPS, last.Valid
 		}
-		stop := run.Step(rng, measure, nil) || s.exhausted(ctx)
+		stop := !run.Step(rng, s.knowledge(), s.visited, measure) || s.exhausted(ctx)
 		//lint:ignore walltime PhaseTimes observability: reported upward only, tuning decisions never read it
 		opts.Phases.Add(PhaseCandidateSelection, time.Since(stepStart)-measured)
 		return stop

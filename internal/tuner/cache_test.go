@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/hwsim"
 )
 
 // TestSharedCacheAcrossTuners is the cmd/compare memoization contract: a
@@ -26,9 +27,9 @@ func TestSharedCacheAcrossTuners(t *testing.T) {
 		total += res.Measurements
 	}
 
-	counting := backend.NewCounting(sim(60))
+	raw := backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 60))
 	sc := backend.NewSharedCache(0)
-	cache := backend.WithShared(counting, sc)
+	cache := backend.WithShared(raw, sc)
 	for i, tn := range grid {
 		res, err := Tune(context.Background(), tn, task, cache, opts)
 		if err != nil {
@@ -38,16 +39,17 @@ func TestSharedCacheAcrossTuners(t *testing.T) {
 			t.Fatalf("%s: cached run's samples differ from uncached run", tn.Name())
 		}
 	}
-	if counting.Calls() >= int64(total) {
-		t.Fatalf("cache saved nothing: %d raw calls for %d measurements", counting.Calls(), total)
+	calls := raw.Simulator().MeasureCount()
+	if calls >= int64(total) {
+		t.Fatalf("cache saved nothing: %d raw calls for %d measurements", calls, total)
 	}
 	hits := sc.Stats().Hits
 	if hits == 0 {
 		t.Fatal("no cache hits across the grid")
 	}
-	if counting.Calls()+hits < int64(total) {
+	if calls+hits < int64(total) {
 		t.Fatalf("accounting broken: %d raw + %d hits < %d measurements",
-			counting.Calls(), hits, total)
+			calls, hits, total)
 	}
 }
 
@@ -55,21 +57,21 @@ func TestSharedCacheAcrossTuners(t *testing.T) {
 // warm cache: the second run must not reach the simulator at all.
 func TestCachedRerunIsFree(t *testing.T) {
 	task := testTask(t)
-	counting := backend.NewCounting(sim(61))
-	cache := backend.WithShared(counting, backend.NewSharedCache(0))
+	raw := backend.Wrap("gtx1080ti", hwsim.NewSimulator(hwsim.GTX1080Ti(), 61))
+	cache := backend.WithShared(raw, backend.NewSharedCache(0))
 	opts := quickOpts(40, 19)
 
 	first, err := Tune(context.Background(), NewAutoTVM(), task, cache, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := counting.Calls()
+	cold := raw.Simulator().MeasureCount()
 	second, err := Tune(context.Background(), NewAutoTVM(), task, cache, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counting.Calls() != cold {
-		t.Fatalf("identical rerun issued %d raw calls", counting.Calls()-cold)
+	if n := raw.Simulator().MeasureCount(); n != cold {
+		t.Fatalf("identical rerun issued %d raw calls", n-cold)
 	}
 	if !sameSampleStream(first.Samples, second.Samples) {
 		t.Fatal("warm rerun produced different samples")

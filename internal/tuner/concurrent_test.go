@@ -1,7 +1,9 @@
 package tuner
 
 import (
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/backend"
@@ -42,6 +44,33 @@ func (m *countingStub) count() int {
 	return m.n
 }
 
+// flaky wraps a backend and drops a fraction of measurements, as real
+// measurement farms do (board resets, driver timeouts, contention); tuners
+// must absorb them as invalid results and keep searching. The failure coin
+// derives from the per-call noise seed — remixed so it is decorrelated
+// from the noise draw that shares the seed downstream — so injection does
+// not depend on call order or worker count.
+type flaky struct {
+	backend.Backend
+	failProb float64
+	fails    atomic.Int64
+}
+
+func newFlaky(inner backend.Backend, failProb float64) *flaky {
+	return &flaky{Backend: inner, failProb: failProb}
+}
+
+func (f *flaky) MeasureSeeded(w tensor.Workload, c space.Config, noiseSeed int64) hwsim.Measurement {
+	if rand.New(rand.NewSource(noiseSeed^0x5DEECE66D)).Float64() < f.failProb {
+		f.fails.Add(1)
+		return hwsim.Measurement{Valid: false, Error: "injected measurement failure"}
+	}
+	return f.Backend.MeasureSeeded(w, c, noiseSeed)
+}
+
+// failures returns how many measurements were dropped.
+func (f *flaky) failures() int { return int(f.fails.Load()) }
+
 // TestMeasurementPoolConcurrent runs the real tuners with a wide worker
 // pool against the simulator. Under -race this validates the whole seeded
 // batch path: plan-time visited marking, pooled MeasureSeeded calls and the
@@ -65,7 +94,7 @@ func TestMeasurementPoolConcurrentFlaky(t *testing.T) {
 	task := testTask(t)
 	opts := quickOpts(64, 41)
 	opts.Workers = 8
-	flaky := backend.NewFlaky(sim(10), 0.2, 5)
+	flaky := newFlaky(sim(10), 0.2)
 	res := mustTune(t, NewAutoTVM(), task, flaky, opts)
 	if res.Measurements == 0 {
 		t.Fatal("no measurements under flaky pool")
@@ -76,42 +105,56 @@ func TestMeasurementPoolConcurrentFlaky(t *testing.T) {
 			invalid++
 		}
 	}
-	if invalid < flaky.Failures() {
-		t.Fatalf("recorded %d invalid samples but injected %d failures", invalid, flaky.Failures())
+	if invalid < flaky.failures() {
+		t.Fatalf("recorded %d invalid samples but injected %d failures", invalid, flaky.failures())
 	}
 }
 
-// TestFlakyBackendConcurrent drives one backend.Flaky from many goroutines
-// over the unseeded path. Under -race this validates the lock around the
-// failure RNG; in any mode injected failures plus forwarded measurements
-// must account for every call exactly once.
+// TestFlakyBackendConcurrent drives one flaky injector from many
+// goroutines. Under -race this validates its failure counter; in any mode
+// injected failures plus forwarded measurements must account for every
+// call exactly once, and each call's fate must be the one a serial sweep
+// over the same seeds decides.
 func TestFlakyBackendConcurrent(t *testing.T) {
-	inner := &countingStub{}
-	flaky := backend.NewFlaky(inner, 0.3, 11)
-
 	const workers, perWorker = 8, 100
+	total := workers * perWorker
+	serial := newFlaky(&countingStub{}, 0.3)
+	want := make([]bool, total)
+	for i := range want {
+		want[i] = serial.MeasureSeeded(tensor.Workload{}, space.Config{}, int64(i)).Valid
+	}
+
+	inner := &countingStub{}
+	fl := newFlaky(inner, 0.3)
 	var wg sync.WaitGroup
 	invalid := make([]int, workers)
+	diverged := make([]bool, workers)
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				if m := flaky.Measure(tensor.Workload{}, space.Config{}); !m.Valid {
+			for i := g; i < total; i += workers {
+				valid := fl.MeasureSeeded(tensor.Workload{}, space.Config{}, int64(i)).Valid
+				if !valid {
 					invalid[g]++
+				}
+				if valid != want[i] {
+					diverged[g] = true
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	total := workers * perWorker
 	dropped := 0
-	for _, n := range invalid {
+	for g, n := range invalid {
 		dropped += n
+		if diverged[g] {
+			t.Fatalf("worker %d: injected failures depend on call order", g)
+		}
 	}
-	if flaky.Failures() != dropped {
-		t.Fatalf("Failures() = %d but callers saw %d invalid results", flaky.Failures(), dropped)
+	if fl.failures() != dropped || serial.failures() != dropped {
+		t.Fatalf("failures() = %d (serial %d) but callers saw %d invalid results", fl.failures(), serial.failures(), dropped)
 	}
 	if inner.count()+dropped != total {
 		t.Fatalf("forwarded %d + dropped %d != total %d (a call was lost or double-counted)", inner.count(), dropped, total)
@@ -120,5 +163,3 @@ func TestFlakyBackendConcurrent(t *testing.T) {
 		t.Fatalf("dropped %d of %d; failure injection should be partial at p=0.3", dropped, total)
 	}
 }
-
-var _ backend.Backend = (*countingStub)(nil)

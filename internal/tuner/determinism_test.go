@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/active"
-	"repro/internal/backend"
 )
 
 // sameSampleStream reports whether two sample slices are bit-identical:
@@ -86,19 +85,19 @@ func TestWorkerCountInvarianceWithFailures(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		opts := quickOpts(80, 23)
 		opts.Workers = workers
-		flaky := backend.NewFlaky(sim(7), 0.3, 99)
+		flaky := newFlaky(sim(7), 0.3)
 		res := mustTune(t, NewAutoTVM(), task, flaky, opts)
 		if workers == 1 {
 			ref = res.Samples
-			refFailures = flaky.Failures()
+			refFailures = flaky.failures()
 			continue
 		}
 		if !sameSampleStream(ref, res.Samples) {
 			t.Fatalf("workers=%d: samples diverge from serial run under failure injection", workers)
 		}
-		if flaky.Failures() != refFailures {
+		if flaky.failures() != refFailures {
 			t.Fatalf("workers=%d: %d injected failures, serial run had %d",
-				workers, flaky.Failures(), refFailures)
+				workers, flaky.failures(), refFailures)
 		}
 	}
 }

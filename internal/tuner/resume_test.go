@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/active"
-	"repro/internal/backend"
 )
 
 func TestResumeSkipsKnownConfigs(t *testing.T) {
@@ -67,9 +66,9 @@ func TestResumeFeedsModelTuners(t *testing.T) {
 
 func TestFlakyMeasurerInjection(t *testing.T) {
 	task := testTask(t)
-	flaky := backend.NewFlaky(sim(6), 0.3, 1)
+	flaky := newFlaky(sim(6), 0.3)
 	res := mustTune(t, NewAutoTVM(), task, flaky, quickOpts(100, 13))
-	if flaky.Failures() == 0 {
+	if flaky.failures() == 0 {
 		t.Fatal("no failures injected")
 	}
 	if !res.Found {
@@ -81,8 +80,8 @@ func TestFlakyMeasurerInjection(t *testing.T) {
 			invalid++
 		}
 	}
-	if invalid < flaky.Failures() {
-		t.Fatalf("invalid samples %d < injected failures %d", invalid, flaky.Failures())
+	if invalid < flaky.failures() {
+		t.Fatalf("invalid samples %d < injected failures %d", invalid, flaky.failures())
 	}
 }
 
@@ -91,7 +90,7 @@ func TestFlakyMeasurerTotalFailure(t *testing.T) {
 	// report Found == false.
 	task := testTask(t)
 	for _, tn := range allTuners() {
-		flaky := backend.NewFlaky(sim(7), 1.0, 2)
+		flaky := newFlaky(sim(7), 1.0)
 		res := mustTune(t, tn, task, flaky, quickOpts(30, 15))
 		if res.Found {
 			t.Fatalf("%s claims success with every measurement failing", tn.Name())
@@ -104,7 +103,7 @@ func TestFlakyMeasurerTotalFailure(t *testing.T) {
 
 func TestFlakyBAOStillImproves(t *testing.T) {
 	task := testTask(t)
-	flaky := backend.NewFlaky(sim(8), 0.2, 3)
+	flaky := newFlaky(sim(8), 0.2)
 	res := mustTune(t, NewBTEDBAO(), task, flaky, quickOpts(120, 17))
 	if !res.Found {
 		t.Fatal("BAO should survive 20% failures")

@@ -140,8 +140,8 @@ type (
 	initedState struct {
 		Inited bool `json:"inited"`
 	}
-	// advancedState is AdvancedTuner's state: the init flag plus the full
-	// BAO iteration state (nil until the init step has run, and again nil
+	// advancedState is AdvancedTuner's state: the init flag plus BAO's
+	// iteration counters (nil until the init step has run, and again nil
 	// when init decided the run was already over).
 	advancedState struct {
 		Inited bool             `json:"inited"`

@@ -96,12 +96,16 @@ func TestNoDuplicateMeasurements(t *testing.T) {
 	}
 }
 
+// TestEarlyStopping: the session's early stopping bounds every run, the
+// BTED+BAO stage included, which has no stopping rule of its own.
 func TestEarlyStopping(t *testing.T) {
 	task := testTask(t)
 	opts := Options{Budget: 600, EarlyStop: 30, PlanSize: 16, Seed: 5}
-	res := mustTune(t, RandomTuner{}, task, sim(4), opts)
-	if res.Measurements >= 600 {
-		t.Fatalf("early stop did not bound the run: %d", res.Measurements)
+	for _, tn := range []Tuner{RandomTuner{}, NewBTEDBAO()} {
+		res := mustTune(t, tn, task, sim(4), opts)
+		if res.Measurements >= 600 {
+			t.Fatalf("%s: early stop did not bound the run: %d", tn.Name(), res.Measurements)
+		}
 	}
 }
 
