@@ -24,17 +24,19 @@ test:
 # in internal/core), a manager's shared cache must leave every record log
 # byte-identical to an uncached run, the kernel-level TED/mat-vec/Cholesky,
 # xgb split search + PredictBatch and GP kernel builds must be
-# bit-identical for any worker count, and snapshot -> restore -> continue
-# must be bit-identical for every tuner, for the scheduler, and for the
-# crash-resume rehearsals of the whole job lifecycle: cmd/tune killed at a
-# checkpoint boundary (sequential, concurrent and adaptive schedules), the
-# runner and the manager (internal/job), and a served job whose daemon is
-# killed and restarted (cmd/served). The timeout is explicit because the
+# bit-identical for any worker count, BAO's sampled neighborhood must take
+# exactly the RNG draws of a full walk of every trial (space), and
+# snapshot -> restore -> continue must be bit-identical for every tuner,
+# for the scheduler, and for the crash-resume rehearsals of the whole job
+# lifecycle: cmd/tune killed at a checkpoint boundary (sequential,
+# concurrent and adaptive schedules), the runner and the manager
+# (internal/job), and a served job whose daemon is killed and restarted
+# (cmd/served). The timeout is explicit because the
 # tuner package's snapshot suite runs for 5-10 minutes under -race on a
 # 2-CPU host, close to go test's 10-minute default.
 determinism:
 	$(GO) test -race -timeout 30m \
-		./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/sa ./internal/snap ./internal/rng ./internal/job ./internal/serve ./cmd/tune ./cmd/served
+		./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/sa ./internal/snap ./internal/rng ./internal/space ./internal/job ./internal/serve ./cmd/tune ./cmd/served
 
 # Benchmark smoke pass: every committed benchmark must still compile and
 # run (one iteration; not a timing source).
@@ -77,12 +79,13 @@ serve-smoke:
 
 # Coverage gates: the scheduler, the checkpoint codec, the job lifecycle
 # layer, and the tuner session layer must each stay >= 80% covered by their
-# own tests.
+# own tests. Profiles go to a private temporary directory, removed on exit.
 cover:
-	@for pkg in internal/sched internal/snap internal/job internal/tuner; do \
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for pkg in internal/sched internal/snap internal/job internal/tuner; do \
 		name=$$(basename $$pkg); \
-		$(GO) test -coverprofile=/tmp/$${name}_cover.out ./$$pkg >/dev/null || exit 1; \
-		pct=$$($(GO) tool cover -func=/tmp/$${name}_cover.out | awk '/^total:/ {sub("%","",$$3); print $$3}'); \
+		$(GO) test -coverprofile=$$tmp/$${name}_cover.out ./$$pkg >/dev/null || exit 1; \
+		pct=$$($(GO) tool cover -func=$$tmp/$${name}_cover.out | awk '/^total:/ {sub("%","",$$3); print $$3}'); \
 		echo "$$pkg coverage: $$pct%"; \
 		awk -v p="$$pct" 'BEGIN { exit (p+0 >= 80.0) ? 0 : 1 }' || \
 			{ echo "$$pkg coverage $$pct% is below the 80% floor"; exit 1; }; \

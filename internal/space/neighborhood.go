@@ -16,8 +16,10 @@ type NeighborhoodOpts struct {
 	Exclude map[uint64]bool
 }
 
-// DefaultMaxCandidates bounds one BAO step's candidate set. 8192 keeps the
-// Γ-fold surrogate evaluation of a step in the low milliseconds.
+// DefaultMaxCandidates caps a Neighborhood call that leaves MaxCandidates
+// at 0; tests and examples rely on it. BAO does not: active.BAOParams
+// normalizes its own per-step cap to 2048, which keeps the Γ-fold
+// surrogate evaluation of a step in the milliseconds.
 const DefaultMaxCandidates = 8192
 
 // Neighborhood returns the configurations whose knob-index vectors lie
@@ -30,6 +32,12 @@ const DefaultMaxCandidates = 8192
 // cap; otherwise points are rejection-sampled uniformly from the ball. The
 // result order is deterministic for the enumerated case and rng-determined
 // for the sampled case.
+//
+// The sampled case rejects a trial at its first coordinate outside the
+// knob's range, without walking the rest of its offset, yet consumes
+// exactly the rng draws that walking every trial in full takes. The draw
+// count is part of the contract: tuner snapshots restore an rng by
+// replaying its counted draws, and the golden stream hashes pin it.
 func (s *Space) Neighborhood(center Config, radius float64, opts NeighborhoodOpts, rng *rand.Rand) []Config {
 	if radius <= 0 {
 		return nil
@@ -153,11 +161,28 @@ func (s *Space) enumerateBall(center Config, r2 float64, maxCand int, exclude ma
 
 // sampleBall draws offsets exactly uniformly from the lattice ball via the
 // same norm-count dynamic program used by latticeBallCount, then rejects
-// only clamping violations and duplicates. Sampling one offset is
-// O(dim * radius), independent of the ball volume.
+// only clamping violations, the zero offset, duplicates and excluded
+// configs. Sampling one offset is O(dim * radius), independent of the
+// ball volume.
+//
+// A trial is rejected at its first coordinate outside the knob's range,
+// before the rest of its offset is walked and before anything is
+// allocated; ballSampler.sampleIn still consumes the draws the rest of the
+// walk would have, so rng leaves every call in the state that drawing
+// every trial in full leaves it in, and the result is the same.
 func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude map[uint64]bool, rng *rand.Rand) []Config {
 	dim := len(s.knobs)
 	bs := newBallSampler(dim, radius)
+	// Knob i allows the offsets [lo[i], hi[i]] around the center.
+	lo := make([]int, dim)
+	hi := make([]int, dim)
+	radix := make([]uint64, dim)
+	for i, k := range s.knobs {
+		n := k.Len()
+		lo[i] = -center.Index[i]
+		hi[i] = n - 1 - center.Index[i]
+		radix[i] = uint64(n)
+	}
 	seen := make(map[uint64]bool, maxCand)
 	out := make([]Config, 0, maxCand)
 	// Rejections now come only from clamping at space edges, duplicates and
@@ -165,31 +190,26 @@ func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude m
 	maxTrials := maxCand * 32
 	offset := make([]int, dim)
 	for t := 0; t < maxTrials && len(out) < maxCand; t++ {
-		bs.sample(offset, rng)
-		idx := make([]int, dim)
-		valid := true
+		if !bs.sampleIn(offset, lo, hi, rng) {
+			continue
+		}
 		zero := true
+		var f uint64 // Config.Flat of center+offset
 		for i, k := range offset {
 			if k != 0 {
 				zero = false
 			}
-			v := center.Index[i] + k
-			if v < 0 || v >= s.knobs[i].Len() {
-				valid = false
-				break
-			}
-			idx[i] = v
+			f = f*radix[i] + uint64(center.Index[i]+k)
 		}
-		if !valid || zero {
-			continue
-		}
-		c := Config{space: s, Index: idx}
-		f := c.Flat()
-		if seen[f] || (exclude != nil && exclude[f]) {
+		if zero || seen[f] || (exclude != nil && exclude[f]) {
 			continue
 		}
 		seen[f] = true
-		out = append(out, c)
+		idx := make([]int, dim)
+		for i, k := range offset {
+			idx[i] = center.Index[i] + k
+		}
+		out = append(out, Config{space: s, Index: idx})
 	}
 	return out
 }
@@ -203,6 +223,11 @@ type ballSampler struct {
 	rInt int
 	q    int
 	cum  [][]int64
+	// safe bounds the raw Int63 values that rng.Int63n accepts on the first
+	// draw for every total the sampler asks for (see int63n).
+	safe int64
+	// raw keeps the raw draws of a rejected trial's skipped coordinates.
+	raw []int64
 }
 
 func newBallSampler(dim int, radius float64) *ballSampler {
@@ -229,6 +254,7 @@ func newBallSampler(dim int, radius float64) *ballSampler {
 		return c
 	}
 	cum[0] = toCum(exact)
+	maxTotal := cum[0][q]
 	for d := 1; d <= dim; d++ {
 		next := make([]int64, q+1)
 		for n, c := range exact {
@@ -247,39 +273,103 @@ func newBallSampler(dim int, radius float64) *ballSampler {
 		}
 		exact = next
 		cum[d] = toCum(exact)
+		maxTotal = max(maxTotal, cum[d][q])
 	}
-	return &ballSampler{dim: dim, rInt: rInt, q: q, cum: cum}
+	return &ballSampler{
+		dim: dim, rInt: rInt, q: q, cum: cum,
+		safe: math.MaxInt64 - maxTotal,
+		raw:  make([]int64, dim),
+	}
 }
 
-// sample fills offset with a uniform draw from the ball (including the
-// origin; callers filter the zero offset).
-func (b *ballSampler) sample(offset []int, rng *rand.Rand) {
+// sampleIn draws one offset uniformly from the ball (including the origin;
+// callers filter the zero offset) and reports whether offset[i] lies in
+// [lo[i], hi[i]] for every i. It stops walking at the first coordinate
+// outside its range, leaving offset partly filled, and skips the rest of
+// the trial's draws with skip. Either way rng ends in the state that
+// drawing the whole offset leaves it in.
+func (b *ballSampler) sampleIn(offset, lo, hi []int, rng *rand.Rand) bool {
 	q := b.q
 	for i := 0; i < b.dim; i++ {
 		rem := b.dim - i - 1
-		// Total completions over all k choices equals cum[rem+1][q]
-		// (exactly, absent count clamping).
-		total := b.cum[rem+1][q]
-		draw := rng.Int63n(total)
-		assigned := false
-		for k := -b.rInt; k <= b.rInt; k++ {
-			nn := q - k*k
-			if nn < 0 {
-				continue
-			}
-			w := b.cum[rem][nn]
-			if draw < w {
-				offset[i] = k
-				q = nn
-				assigned = true
-				break
-			}
-			draw -= w
+		k, left := b.pick(rem, q, b.int63n(rng, b.cum[rem+1][q]))
+		if k < lo[i] || k > hi[i] {
+			b.skip(i+1, left, rng)
+			return false
 		}
-		if !assigned {
-			// Only reachable when count clamping broke the exact identity;
-			// fall back to the always-valid zero offset.
-			offset[i] = 0
-		}
+		offset[i] = k
+		q = left
 	}
+	return true
+}
+
+// skip consumes the draws that coordinates from..dim-1 of a trial take,
+// given the squared-norm budget q left after coordinate from-1, without
+// walking them. Every total a trial asks for is at most the ball's
+// size, so a raw value <= safe is exactly one Int63n draw whatever that
+// coordinate's total is. A raw value above safe needs the exact total:
+// the walk is replayed from the raw values kept so far, and the trial is
+// finished with exact Int63n semantics.
+func (b *ballSampler) skip(from, q int, rng *rand.Rand) {
+	for j := from; j < b.dim; j++ {
+		v := rng.Int63()
+		if v <= b.safe {
+			b.raw[j] = v
+			continue
+		}
+		for i := from; i < j; i++ {
+			rem := b.dim - i - 1
+			_, q = b.pick(rem, q, b.raw[i]%b.cum[rem+1][q])
+		}
+		rem := b.dim - j - 1
+		_, q = b.pick(rem, q, finishInt63n(rng, b.cum[rem+1][q], v))
+		for i := j + 1; i < b.dim; i++ {
+			rem := b.dim - i - 1
+			_, q = b.pick(rem, q, b.int63n(rng, b.cum[rem+1][q]))
+		}
+		return
+	}
+}
+
+// pick maps draw, uniform in [0, cum[rem+1][q]), to the coordinate k whose
+// block of completions holds it, and returns k with the squared-norm
+// budget left for the remaining rem coordinates.
+func (b *ballSampler) pick(rem, q int, draw int64) (k, left int) {
+	for k := -b.rInt; k <= b.rInt; k++ {
+		nn := q - k*k
+		if nn < 0 {
+			continue
+		}
+		w := b.cum[rem][nn]
+		if draw < w {
+			return k, nn
+		}
+		draw -= w
+	}
+	// Only reachable when count clamping broke the exact identity;
+	// fall back to the always-valid zero offset.
+	return 0, q
+}
+
+// int63n returns rng.Int63n(n) for 0 < n <= the ball's size, taking the
+// same raw draws. Int63n redraws a raw value only above
+// 2^63-1-(2^63 mod n), which is at least safe, so a first draw <= safe is
+// always kept as v%n (for a power-of-two n Int63n masks, v&(n-1) == v%n).
+func (b *ballSampler) int63n(rng *rand.Rand, n int64) int64 {
+	v := rng.Int63()
+	if v <= b.safe {
+		return v % n
+	}
+	return finishInt63n(rng, n, v)
+}
+
+// finishInt63n completes rng.Int63n(n) whose first raw draw was v, with
+// math/rand's exact semantics. A power-of-two n never redraws: 2^63 mod n
+// is 0.
+func finishInt63n(rng *rand.Rand, n, v int64) int64 {
+	limit := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	for v > limit {
+		v = rng.Int63()
+	}
+	return v % n
 }

@@ -180,3 +180,23 @@ func TestNeighborhoodGrowth(t *testing.T) {
 		t.Fatalf("tau*R ball (%d) smaller than R ball (%d)", len(large), len(small))
 	}
 }
+
+// BenchmarkNeighborhoodSampled times one sampled BAO step's search scope:
+// the radius-4.5 ball of an 8-knob conv2d space, capped at the 2048
+// candidates BAO asks for.
+func BenchmarkNeighborhoodSampled(b *testing.B) {
+	s, err := ForWorkload(tensor.Conv2D(1, 64, 56, 56, 128, 3, 1, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if s.NumKnobs() != 8 {
+		b.Fatalf("conv2d space has %d knobs, want 8", s.NumKnobs())
+	}
+	rng := rand.New(rand.NewSource(3))
+	center := s.Random(rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: 2048}, rng)
+	}
+}

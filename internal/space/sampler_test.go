@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// unbounded returns offset ranges no ball draw can leave.
+func unbounded(dim int) (lo, hi []int) {
+	lo, hi = make([]int, dim), make([]int, dim)
+	for i := range lo {
+		lo[i], hi[i] = math.MinInt, math.MaxInt
+	}
+	return lo, hi
+}
+
 // TestBallSamplerUniform verifies the DP lattice-ball sampler draws each
 // ball point with equal probability, via a chi-square test on a small ball
 // where exact enumeration is feasible.
@@ -13,6 +22,7 @@ func TestBallSamplerUniform(t *testing.T) {
 	dim := 3
 	radius := 2.0
 	bs := newBallSampler(dim, radius)
+	lo, hi := unbounded(dim)
 
 	// Enumerate the exact ball for reference.
 	r2 := radius * radius
@@ -34,7 +44,9 @@ func TestBallSamplerUniform(t *testing.T) {
 	draws := 33000
 	offset := make([]int, dim)
 	for i := 0; i < draws; i++ {
-		bs.sample(offset, rng)
+		if !bs.sampleIn(offset, lo, hi, rng) {
+			t.Fatal("unbounded draw rejected")
+		}
 		k := key{offset[0], offset[1], offset[2]}
 		if _, ok := ball[k]; !ok {
 			t.Fatalf("sampled point %v outside the ball", offset)
@@ -71,11 +83,14 @@ func TestBallSamplerHighDim(t *testing.T) {
 	// 8-D radius 4.5 (the tau*R ball of the paper's settings): every draw
 	// must stay inside the ball.
 	bs := newBallSampler(8, 4.5)
+	lo, hi := unbounded(8)
 	rng := rand.New(rand.NewSource(2))
 	offset := make([]int, 8)
 	r2 := 4.5 * 4.5
 	for i := 0; i < 5000; i++ {
-		bs.sample(offset, rng)
+		if !bs.sampleIn(offset, lo, hi, rng) {
+			t.Fatal("unbounded draw rejected")
+		}
 		s := 0
 		for _, k := range offset {
 			s += k * k
