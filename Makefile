@@ -31,12 +31,15 @@ test:
 # lifecycle: cmd/tune killed at a checkpoint boundary (sequential,
 # concurrent and adaptive schedules), the runner and the manager
 # (internal/job), and a served job whose daemon is killed and restarted
-# (cmd/served). The timeout is explicit because the
+# (cmd/served); and the paper studies' paired grid, whose cells run
+# concurrently and must fold to the same numbers at any width, with a
+# Table I study resumed from its job store (internal/repro). The timeout
+# is explicit because the
 # tuner package's snapshot suite runs for 5-10 minutes under -race on a
 # 2-CPU host, close to go test's 10-minute default.
 determinism:
 	$(GO) test -race -timeout 30m \
-		./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/sa ./internal/snap ./internal/rng ./internal/space ./internal/job ./internal/serve ./cmd/tune ./cmd/served
+		./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/sa ./internal/snap ./internal/rng ./internal/space ./internal/job ./internal/serve ./internal/repro ./cmd/tune ./cmd/served
 
 # Benchmark smoke pass: every committed benchmark must still compile and
 # run (one iteration; not a timing source).

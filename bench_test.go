@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/graph"
 	"repro/internal/hwsim"
+	"repro/internal/job"
 	"repro/internal/repro"
 	"repro/internal/space"
 	"repro/internal/tensor"
@@ -71,7 +73,11 @@ func Benchmark_Fig5(b *testing.B) {
 func benchmarkTable1(b *testing.B, model string) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(int64(11 + i))
-		res, err := repro.Table1(context.Background(), cfg, []string{model})
+		store, err := job.OpenStore(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := repro.Table1(context.Background(), cfg, []string{model}, store)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,30 +144,46 @@ func Benchmark_BTED_Init(b *testing.B) {
 	}
 }
 
+// Benchmark_BAO_Step times a fresh BAORun's first step. At R = 3 the
+// first step enumerates the radius-3 ball (33,809 points); at R = 4.5 it
+// searches the τR-sized ball (722,353 points) through the sampled path
+// that dominates a BTED+BAO run. Both measure through MeasureSeeded, the
+// tuning stack's only measurement call.
 func Benchmark_BAO_Step(b *testing.B) {
+	for _, r := range []float64{3, 4.5} {
+		b.Run(fmt.Sprintf("R=%g", r), func(b *testing.B) { benchmarkBAOStep(b, r) })
+	}
+}
+
+func benchmarkBAOStep(b *testing.B, r float64) {
 	w := tensor.Conv2D(1, 64, 28, 28, 64, 3, 1, 1)
 	sp, err := space.ForWorkload(w)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sim := hwsim.NewSimulator(hwsim.GTX1080Ti(), 1)
+	measureSeeded := func(c space.Config) hwsim.Measurement {
+		return sim.MeasureSeeded(w, c, hwsim.NoiseSeed(1, c.Flat()))
+	}
 	rng := rand.New(rand.NewSource(2))
 	var init []active.Sample
 	measured := make(map[uint64]bool)
 	for _, c := range sp.RandomSample(64, rng) {
-		m := sim.Measure(w, c)
+		m := measureSeeded(c)
 		init = append(init, active.Sample{Config: c, GFLOPS: m.GFLOPS, Valid: m.Valid})
 		measured[c.Flat()] = true
 	}
 	// Every iteration takes the first step over the same initialization,
 	// so the deployment is not recorded.
 	measure := func(c space.Config) (float64, bool) {
-		m := sim.Measure(w, c)
+		m := measureSeeded(c)
 		return m.GFLOPS, m.Valid
 	}
+	p := active.DefaultBAOParams()
+	p.R = r
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := active.NewBAORun(sp, active.NewXGBTrainer(), init, active.DefaultBAOParams())
+		run := active.NewBAORun(sp, active.NewXGBTrainer(), init, p)
 		run.Step(rand.New(rand.NewSource(int64(i))), init, measured, measure)
 	}
 }

@@ -2,13 +2,14 @@
 // prints their convergence traces side by side — the per-task view behind
 // the paper's Fig. 4.
 //
-// Every (tuner, seed) cell of the grid is an independent run with its own
-// run seed, so the grid executes on a worker pool (-parallel) while the
-// averaged traces are folded in fixed seed order afterwards: the printed
-// numbers are bit-identical for any -parallel value. All cells share one
-// memoizing measurement backend: a configuration measured by one tuner at a
-// given seed is never re-simulated when another tuner visits it (the BTED
-// and BTED+BAO arms share their entire initialization set, for instance),
+// The comparison is a paired study grid (repro.RunGrid) with one arm per
+// tuner: every tuner runs once per seed, all tuners of a seed share it,
+// and the cells run on a worker pool (-parallel) while the averaged traces
+// are folded in fixed seed order afterwards, so the printed numbers are
+// bit-identical for any -parallel value. All cells share one memoizing
+// measurement backend: a configuration measured by one tuner at a given
+// seed is never re-simulated when another tuner visits it (the BTED and
+// BTED+BAO arms share their entire initialization set, for instance),
 // which the final cache line quantifies.
 //
 // Usage:
@@ -19,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,8 +31,8 @@ import (
 	"repro/internal/backend"
 	"repro/internal/graph"
 	"repro/internal/job"
-	"repro/internal/par"
 	"repro/internal/plot"
+	"repro/internal/repro"
 	"repro/internal/tensor"
 	"repro/internal/tuner"
 )
@@ -122,95 +122,52 @@ func run(ctx context.Context, model string, taskIdx int, workloadSpec, deviceNam
 		task = t
 	}
 
-	// One memoizing backend serves the whole grid: seeded measurement is a
-	// pure function of (workload, config, noise seed), so revisits across
-	// tuners and rounds hit the cache instead of the simulator.
 	sim, err := backend.New(deviceName, 0)
 	if err != nil {
 		return err
 	}
-	sc := backend.NewSharedCache(0)
-	cache := backend.WithShared(sim, sc)
 
 	fmt.Printf("task %s on %s\nworkload %s\nspace %d configurations\n\n",
 		task.Name, deviceName, task.Workload.Key(), task.Space.Size())
 
-	var names []string
+	var arms []repro.Arm
 	for _, name := range strings.Split(tunerList, ",") {
 		name = strings.TrimSpace(name)
 		// Validate every tuner name before spending any compute.
-		if _, err := job.NewTuner(name); err != nil {
+		tn, err := job.NewTuner(name)
+		if err != nil {
 			return err
 		}
-		names = append(names, name)
+		arms = append(arms, repro.Arm{Name: name, Tuner: tn})
 	}
 	if seeds < 1 {
 		seeds = 1
 	}
-	if parallel <= 0 {
-		parallel = par.Workers()
+	runSeeds := make([]int64, seeds)
+	for si := range runSeeds {
+		runSeeds[si] = int64(7 + si*1000)
 	}
-
-	// Run the whole (tuner, seed) grid on the pool; each cell is fully
-	// independent (own tuner instance, own run seed). The pool stops
-	// dispatching cells once ctx is cancelled.
-	traces := make([][][]float64, len(names))
-	for ti := range traces {
-		traces[ti] = make([][]float64, seeds)
-	}
-	cellErrs := make([]error, len(names)*seeds)
-	par.ForContext(ctx, len(names)*seeds, parallel, func(k int) {
-		ti, si := k/seeds, k%seeds
-		tn, err := job.NewTuner(names[ti])
-		if err != nil {
-			return // validated above; unreachable
-		}
-		res, err := tuner.Tune(ctx, tn, task, cache, tuner.Options{
-			Budget: budget, EarlyStop: -1, PlanSize: plan, Seed: int64(7 + si*1000),
-			Workers: workers,
-		})
-		// An all-invalid run still has a (flat-zero) trace worth printing;
-		// everything else, including cancellation, aborts the comparison.
-		if err != nil && !errors.Is(err, tuner.ErrNoValidConfig) {
-			cellErrs[k] = err
-			return
-		}
-		traces[ti][si] = res.BestTrace()
+	res, err := repro.RunGrid(ctx, repro.Grid{
+		Arms:     arms,
+		Tasks:    []*tuner.Task{task},
+		Seeds:    runSeeds,
+		Options:  tuner.Options{Budget: budget, EarlyStop: -1, PlanSize: plan, Workers: workers},
+		Backend:  sim,
+		Parallel: parallel,
 	})
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return err
 	}
-	for _, cerr := range cellErrs {
-		if cerr != nil {
-			return cerr
-		}
-	}
 
-	// Fold in fixed seed order so the averages are independent of pool
-	// scheduling.
 	var series []plot.Series
 	fmt.Printf("%-10s %12s %12s %12s\n", "tuner", "best GFLOPS", "@25%", "@50%")
-	for ti, name := range names {
-		acc := make([]float64, budget)
-		for s := 0; s < seeds; s++ {
-			trace := traces[ti][s]
-			last := 0.0
-			for i := 0; i < budget; i++ {
-				if i < len(trace) {
-					last = trace[i]
-				}
-				acc[i] += last
-			}
-		}
-		for i := range acc {
-			acc[i] /= float64(seeds)
-		}
-		fmt.Printf("%-10s %12.1f %12.1f %12.1f\n", name, acc[budget-1], acc[budget/4-1], acc[budget/2-1])
-		series = append(series, plot.Series{Name: name, Values: acc})
+	for ai, arm := range arms {
+		acc := repro.MeanBestTrace(res.Trials(ai, 0), budget)
+		fmt.Printf("%-10s %12.1f %12.1f %12.1f\n", arm.Name, acc[budget-1], acc[budget/4-1], acc[budget/2-1])
+		series = append(series, plot.Series{Name: arm.Name, Values: acc})
 	}
-	st := sc.Stats()
 	fmt.Printf("\nbackend cache: %d simulator calls, %d deduplicated revisits\n",
-		st.Misses, st.Hits)
+		res.Cache.Misses, res.Cache.Hits)
 	if chart {
 		fmt.Println()
 		if err := (plot.LineChart{

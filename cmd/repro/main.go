@@ -14,11 +14,11 @@
 // budget 1024, early stop 400, 600 latency runs) and takes on the order of
 // an hour of CPU time.
 //
-// Paper-scale Table I runs are checkpointable: -checkpoint <prefix> streams
-// per-trial scheduler state to <prefix>.table1.<model>.<method>.trial<k>.snap
-// files, and rerunning with -resume skips trials that finished and restores
-// the interrupted one from its last checkpoint — with the same settings, the
-// resumed study's numbers match an uninterrupted run's exactly.
+// Table I's (model, method, trial) cells are jobs in a job store: with
+// -store DIR, rerunning an interrupted study over the same directory reads
+// finished cells back and resumes the interrupted ones from their last
+// checkpoint, landing on an uninterrupted run's numbers exactly. Without
+// -store the cells go to a temporary directory removed on exit.
 package main
 
 import (
@@ -31,6 +31,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/job"
 	"repro/internal/repro"
 )
 
@@ -43,8 +44,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "override base seed")
 	taskConc := flag.Int("task-concurrency", 1, "tasks tuned concurrently by the graph scheduler in pipeline experiments")
 	budgetPolicy := flag.String("budget-policy", "uniform", "scheduler budget policy: uniform | adaptive")
-	checkpoint := flag.String("checkpoint", "", "file prefix for per-trial scheduler checkpoints (table1); interrupted studies resume with -resume")
-	resume := flag.Bool("resume", false, "continue from -checkpoint files: skip finished trials, restore in-flight ones")
+	storeDir := flag.String("store", "", "job store directory for Table I cells; rerunning over it skips finished cells and resumes interrupted ones (default: a temporary directory removed on exit)")
 	verbose := flag.Bool("v", false, "print progress lines")
 	flag.Parse()
 
@@ -63,12 +63,6 @@ func main() {
 	}
 	cfg.TaskConcurrency = *taskConc
 	cfg.BudgetPolicy = *budgetPolicy
-	cfg.Checkpoint = *checkpoint
-	cfg.Resume = *resume
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "repro: -resume requires -checkpoint (the prefix the interrupted run wrote to)")
-		os.Exit(1)
-	}
 	if *verbose {
 		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
@@ -80,11 +74,11 @@ func main() {
 
 	// Ctrl-C cancels the experiment context; partially-computed studies are
 	// abandoned (their numbers would be misleading) and the exit is nonzero.
-	// With -checkpoint, abandoned trials stay resumable from their files.
+	// Table I cells in a -store directory stay resumable.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if err := run(ctx, *exp, cfg, modelList); err != nil {
+	if err := run(ctx, *exp, cfg, modelList, *storeDir); err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "repro: interrupted:", err)
 		} else {
@@ -94,7 +88,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, exp string, cfg repro.Config, models []string) error {
+func run(ctx context.Context, exp string, cfg repro.Config, models []string, storeDir string) error {
 	want := func(name string) bool { return exp == "all" || exp == name }
 	ran := false
 
@@ -123,7 +117,19 @@ func run(ctx context.Context, exp string, cfg repro.Config, models []string) err
 	}
 	if want("table1") {
 		ran = true
-		res, err := repro.Table1(ctx, cfg, models)
+		if storeDir == "" {
+			tmp, err := os.MkdirTemp("", "repro-store-")
+			if err != nil {
+				return err
+			}
+			defer func() { _ = os.RemoveAll(tmp) }() // best-effort cleanup of a scratch store
+			storeDir = tmp
+		}
+		store, err := job.OpenStore(storeDir)
+		if err != nil {
+			return err
+		}
+		res, err := repro.Table1(ctx, cfg, models, store)
 		if err != nil {
 			return err
 		}

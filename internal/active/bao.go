@@ -131,7 +131,10 @@ type BAOParams struct {
 	Gamma int     // number of bootstrap resamples
 	Tau   float64 // radius growth factor (>1)
 	R     float64 // neighborhood radius in knob-index space
-	// MaxCandidates caps each step's neighborhood (0 = package default).
+	// MaxCandidates caps each step's neighborhood. 0 means 2048, not
+	// space.DefaultMaxCandidates (8192): a step trains Gamma models and
+	// scores every candidate Gamma times, and 2048 still covers the
+	// radius-3 ball densely while keeping a step in the milliseconds.
 	MaxCandidates int
 	// GlobalFallbackAfter switches the searching scope C_t from the
 	// incumbent's neighborhood to a bootstrap-scored uniform global sample

@@ -181,8 +181,9 @@ func (s *Simulator) NetworkLatency(deps []Deployment, runs int) (meanMS, varianc
 	return acc.Mean(), acc.Variance(), nil
 }
 
-// BestPossibleGFLOPS scans n random configs plus the neighborhood of the
-// best found, returning an optimistic throughput bound for a workload.
+// BestPossibleGFLOPS returns the best noise-free Estimate over n uniformly
+// random configs of sp drawn with the given seed: a sampled lower bound on
+// the space's true optimum, not an exhaustive or neighborhood search.
 // Used only by diagnostics and tests, never by the tuners.
 func (s *Simulator) BestPossibleGFLOPS(w tensor.Workload, sp *space.Space, n int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))

@@ -185,7 +185,7 @@ func Run(ctx context.Context, spec Spec, opts RunOptions) (res *RunResult, err e
 			return res, err
 		}
 		defer func() {
-			if cerr := cpFile.f.Close(); cerr != nil && err == nil {
+			if cerr := cpFile.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}()

@@ -3,7 +3,6 @@ package job
 import (
 	"os"
 
-	"repro/internal/sched"
 	"repro/internal/snap"
 )
 
@@ -44,15 +43,6 @@ func (s *SnapFile) Append(kind string, v any) error {
 		s.werr = err
 	}
 	return s.werr
-}
-
-// OnSchedCheckpoint adapts Append to the pipeline's OnCheckpoint hook for
-// callers that frame raw scheduler state (cmd/repro's per-trial files).
-// Append errors latch; the run keeps going and the caller checks Err.
-func (s *SnapFile) OnSchedCheckpoint(kind string) func(*sched.Checkpoint) {
-	return func(cp *sched.Checkpoint) {
-		_ = s.Append(kind, cp) // latched; reported via Err at the end
-	}
 }
 
 // Err reports the latched append failure, if any.

@@ -47,176 +47,107 @@ func ablationTasks(n int) ([]*tuner.Task, error) {
 	return out, nil
 }
 
-// runAblationArm evaluates one tuner variant over the task subset.
-func runAblationArm(ctx context.Context, cfg Config, tasks []*tuner.Task, tn tuner.Tuner, armIdx int) (gflops, configs float64, err error) {
-	var gs, cs []float64
-	for ti, task := range tasks {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			b := newBackend(cfg.trialSeed(trial) + int64(ti)*131 + int64(armIdx)*7)
-			opts := tuner.Options{
-				Budget:    cfg.Budget,
-				EarlyStop: cfg.EarlyStop,
-				PlanSize:  cfg.PlanSize,
-				Seed:      cfg.trialSeed(trial)*13 + int64(ti)*431 + int64(armIdx),
-			}
-			r, err := tuneTrial(ctx, tn, task, b, opts)
-			if err != nil {
-				return 0, 0, err
-			}
-			cs = append(cs, float64(r.Measurements))
-			if r.Found {
-				gs = append(gs, r.Best.GFLOPS/1000) // TFLOPS-ish scale per task
+// runAblation runs one study's arms as a paired grid over the ablation
+// task subset and normalizes the rows against the first (default) arm.
+func runAblation(ctx context.Context, cfg Config, name string, arms []Arm) (AblationResult, error) {
+	tasks, err := ablationTasks(3)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	res, err := RunGrid(ctx, cfg.grid("ablation "+name, arms, tasks, cfg.EarlyStop))
+	if err != nil {
+		return AblationResult{}, err
+	}
+	rows := make([]AblationRow, len(arms))
+	for ai, arm := range arms {
+		var gs, cs []float64
+		for ti := range tasks {
+			for _, r := range res.Trials(ai, ti) {
+				cs = append(cs, float64(r.Measurements))
+				if r.Found {
+					gs = append(gs, r.Best.GFLOPS/1000) // TFLOPS-ish scale per task
+				}
 			}
 		}
+		rows[ai] = AblationRow{Setting: arm.Name, GFLOPS: meanOf(gs), Configs: meanOf(cs), TasksRun: len(tasks)}
 	}
-	return meanOf(gs), meanOf(cs), nil
-}
-
-// finishAblation normalizes rows against the first (default) row.
-func finishAblation(name string, rows []AblationRow) AblationResult {
 	base := rows[0].GFLOPS
 	for i := range rows {
 		if base > 0 {
 			rows[i].RelPct = 100 * rows[i].GFLOPS / base
 		}
 	}
-	return AblationResult{Name: name, Rows: rows}
+	return AblationResult{Name: name, Rows: rows}, nil
 }
 
 // AblationGamma sweeps the number of bootstrap evaluation functions
 // (paper setting Γ=2 first).
 func AblationGamma(ctx context.Context, cfg Config) (AblationResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	var rows []AblationRow
-	for i, gamma := range []int{2, 1, 4, 8} {
-		cfg.progress("ablation gamma=%d", gamma)
+	var arms []Arm
+	for _, gamma := range []int{2, 1, 4, 8} {
 		tn := tuner.NewBTEDBAO()
 		tn.BAO.Gamma = gamma
-		g, c, err := runAblationArm(ctx, cfg, tasks, tn, i)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		rows = append(rows, AblationRow{Setting: fmt.Sprintf("Gamma=%d", gamma), GFLOPS: g, Configs: c, TasksRun: len(tasks)})
+		arms = append(arms, Arm{fmt.Sprintf("Gamma=%d", gamma), tn})
 	}
-	return finishAblation("bootstrap-resamples", rows), nil
+	return runAblation(ctx, cfg, "bootstrap-resamples", arms)
 }
 
 // AblationTau sweeps the adaptive radius growth factor (paper τ=1.5 first;
 // τ→1 disables growth).
 func AblationTau(ctx context.Context, cfg Config) (AblationResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	var rows []AblationRow
-	for i, tau := range []float64{1.5, 1.000001, 2.0, 3.0} {
-		cfg.progress("ablation tau=%.2f", tau)
+	var arms []Arm
+	for _, tau := range []float64{1.5, 1.000001, 2.0, 3.0} {
 		tn := tuner.NewBTEDBAO()
 		tn.BAO.Tau = tau
-		g, c, err := runAblationArm(ctx, cfg, tasks, tn, i)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		rows = append(rows, AblationRow{Setting: fmt.Sprintf("tau=%.2f", tau), GFLOPS: g, Configs: c, TasksRun: len(tasks)})
+		arms = append(arms, Arm{fmt.Sprintf("tau=%.2f", tau), tn})
 	}
-	return finishAblation("adaptive-growth", rows), nil
+	return runAblation(ctx, cfg, "adaptive-growth", arms)
 }
 
 // AblationRadius sweeps the base neighborhood radius (paper R=3 first).
 func AblationRadius(ctx context.Context, cfg Config) (AblationResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	var rows []AblationRow
-	for i, r := range []float64{3, 1, 5} {
-		cfg.progress("ablation R=%.0f", r)
+	var arms []Arm
+	for _, r := range []float64{3, 1, 5} {
 		tn := tuner.NewBTEDBAO()
 		tn.BAO.R = r
-		g, c, err := runAblationArm(ctx, cfg, tasks, tn, i)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		rows = append(rows, AblationRow{Setting: fmt.Sprintf("R=%.0f", r), GFLOPS: g, Configs: c, TasksRun: len(tasks)})
+		arms = append(arms, Arm{fmt.Sprintf("R=%.0f", r), tn})
 	}
-	return finishAblation("neighborhood-radius", rows), nil
+	return runAblation(ctx, cfg, "neighborhood-radius", arms)
 }
 
 // AblationInit compares BTED initialization against random initialization
 // with the identical BAO iterative stage (isolating BTED's contribution).
 func AblationInit(ctx context.Context, cfg Config) (AblationResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	var rows []AblationRow
-	bted := tuner.NewBTEDBAO()
-	g, c, err := runAblationArm(ctx, cfg, tasks, bted, 0)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "BTED-init", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
 	rnd := tuner.NewBTEDBAO()
 	rnd.BTED.B = 1
 	rnd.BTED.M = cfg.PlanSize // degenerate BTED == random sample
-	g, c, err = runAblationArm(ctx, cfg, tasks, rnd, 1)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "random-init", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
-	return finishAblation("initialization", rows), nil
+	return runAblation(ctx, cfg, "initialization", []Arm{
+		{"BTED-init", tuner.NewBTEDBAO()},
+		{"random-init", rnd},
+	})
 }
 
 // AblationCeil compares the plain relative improvement of Eq. (1) against
 // the paper-literal ceiling (see DESIGN.md on the suspected typo).
 func AblationCeil(ctx context.Context, cfg Config) (AblationResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	var rows []AblationRow
-	plain := tuner.NewBTEDBAO()
-	g, c, err := runAblationArm(ctx, cfg, tasks, plain, 0)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "plain-Eq1", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
 	ceil := tuner.NewBTEDBAO()
 	ceil.BAO.LiteralCeil = true
-	g, c, err = runAblationArm(ctx, cfg, tasks, ceil, 1)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "literal-ceil", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
-	return finishAblation("eq1-ceiling", rows), nil
+	return runAblation(ctx, cfg, "eq1-ceiling", []Arm{
+		{"plain-Eq1", tuner.NewBTEDBAO()},
+		{"literal-ceil", ceil},
+	})
 }
 
 // AblationScope compares the hybrid searching scope (local neighborhood
 // with bootstrap-guided global fallback on stall; see DESIGN.md) against
 // the strictly-local reading of Algorithm 4.
 func AblationScope(ctx context.Context, cfg Config) (AblationResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	var rows []AblationRow
-	hybrid := tuner.NewBTEDBAO()
-	g, c, err := runAblationArm(ctx, cfg, tasks, hybrid, 0)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "hybrid-scope", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
 	local := tuner.NewBTEDBAO()
 	local.BAO.GlobalFallbackAfter = -1
-	g, c, err = runAblationArm(ctx, cfg, tasks, local, 1)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "strictly-local", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
-	return finishAblation("searching-scope", rows), nil
+	return runAblation(ctx, cfg, "searching-scope", []Arm{
+		{"hybrid-scope", tuner.NewBTEDBAO()},
+		{"strictly-local", local},
+	})
 }
 
 // AblationEvalFunc swaps the evaluation function under BAO — gradient
@@ -224,80 +155,44 @@ func AblationScope(ctx context.Context, cfg Config) (AblationResult, error) {
 // paper's claim that the framework is independent of the evaluation
 // function's concrete form.
 func AblationEvalFunc(ctx context.Context, cfg Config) (AblationResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	arms := []struct {
+	var arms []Arm
+	for _, ev := range []struct {
 		name string
 		tr   active.EvalTrainer
 	}{
 		{"xgboost", active.NewXGBTrainer()},
 		{"gaussian-process", active.NewGPTrainer()},
 		{"random-forest", active.NewRFTrainer()},
-	}
-	var rows []AblationRow
-	for i, arm := range arms {
-		cfg.progress("ablation eval=%s", arm.name)
+	} {
 		tn := tuner.NewBTEDBAO()
-		tn.Trainer = arm.tr
-		g, c, err := runAblationArm(ctx, cfg, tasks, tn, i)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		rows = append(rows, AblationRow{Setting: arm.name, GFLOPS: g, Configs: c, TasksRun: len(tasks)})
+		tn.Trainer = ev.tr
+		arms = append(arms, Arm{ev.name, tn})
 	}
-	return finishAblation("evaluation-function", rows), nil
+	return runAblation(ctx, cfg, "evaluation-function", arms)
 }
 
 // AblationObjective compares the AutoTVM arm's cost-model loss: squared
 // error (our calibrated default) versus the pairwise rank loss AutoTVM
 // ships with.
 func AblationObjective(ctx context.Context, cfg Config) (AblationResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	var rows []AblationRow
-	reg := tuner.NewAutoTVM()
-	g, c, err := runAblationArm(ctx, cfg, tasks, reg, 0)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "squared-error", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
 	rank := tuner.NewAutoTVM()
 	rank.RankObjective = true
-	g, c, err = runAblationArm(ctx, cfg, tasks, rank, 1)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "pairwise-rank", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
-	return finishAblation("cost-model-objective", rows), nil
+	return runAblation(ctx, cfg, "cost-model-objective", []Arm{
+		{"squared-error", tuner.NewAutoTVM()},
+		{"pairwise-rank", rank},
+	})
 }
 
 // AblationKernel compares the default RBF TED kernel against the
 // paper-literal raw Euclidean distance matrix.
 func AblationKernel(ctx context.Context, cfg Config) (AblationResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	var rows []AblationRow
-	rbf := tuner.NewBTEDBAO()
-	g, c, err := runAblationArm(ctx, cfg, tasks, rbf, 0)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "rbf-kernel", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
 	lit := tuner.NewBTEDBAO()
 	lit.BTED.Kernel = linalg.DistanceKernel{}
 	lit.BTED.View = active.ViewKnobIndices
-	g, c, err = runAblationArm(ctx, cfg, tasks, lit, 1)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	rows = append(rows, AblationRow{Setting: "euclidean-literal", GFLOPS: g, Configs: c, TasksRun: len(tasks)})
-	return finishAblation("ted-kernel", rows), nil
+	return runAblation(ctx, cfg, "ted-kernel", []Arm{
+		{"rbf-kernel", tuner.NewBTEDBAO()},
+		{"euclidean-literal", lit},
+	})
 }
 
 // AllAblations runs every study.

@@ -22,16 +22,10 @@ type BaselinesResult struct {
 	Rows []BaselineRow
 }
 
-// Baselines runs the all-tuners comparison.
+// Baselines runs the all-tuners comparison: the ablation grid with one arm
+// per tuner, anchored on the random baseline.
 func Baselines(ctx context.Context, cfg Config) (*BaselinesResult, error) {
-	tasks, err := ablationTasks(3)
-	if err != nil {
-		return nil, err
-	}
-	arms := []struct {
-		name string
-		tn   tuner.Tuner
-	}{
+	ab, err := runAblation(ctx, cfg, "baselines", []Arm{
 		{"random", tuner.RandomTuner{}},
 		{"grid", tuner.GridTuner{}},
 		{"ga", tuner.GATuner{}},
@@ -39,21 +33,13 @@ func Baselines(ctx context.Context, cfg Config) (*BaselinesResult, error) {
 		{"autotvm", tuner.NewAutoTVM()},
 		{"bted", tuner.NewBTED()},
 		{"bted+bao", tuner.NewBTEDBAO()},
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &BaselinesResult{}
-	for i, arm := range arms {
-		cfg.progress("baselines %s", arm.name)
-		g, c, err := runAblationArm(ctx, cfg, tasks, arm.tn, i)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, BaselineRow{Tuner: arm.name, GFLOPS: g, Configs: c})
-	}
-	base := res.Rows[0].GFLOPS
-	for i := range res.Rows {
-		if base > 0 {
-			res.Rows[i].RelPct = 100 * res.Rows[i].GFLOPS / base
-		}
+	for _, row := range ab.Rows {
+		res.Rows = append(res.Rows, BaselineRow{Tuner: row.Setting, GFLOPS: row.GFLOPS, RelPct: row.RelPct, Configs: row.Configs})
 	}
 	return res, nil
 }

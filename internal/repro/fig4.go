@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/active"
 	"repro/internal/plot"
-	"repro/internal/tuner"
 )
 
 // Fig4Series is one convergence curve: best-so-far GFLOPS after each
@@ -28,58 +26,35 @@ type Fig4Result struct {
 // stopping, plotting best-so-far GFLOPS against the number of sampled
 // configurations.
 func Fig4(ctx context.Context, cfg Config) ([]Fig4Result, error) {
-	tasks, err := mobilenetTasks()
+	g, err := fig4Grid(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(tasks) < 2 {
-		return nil, fmt.Errorf("repro: expected at least 2 MobileNet tasks, got %d", len(tasks))
+	res, err := RunGrid(ctx, g)
+	if err != nil {
+		return nil, err
 	}
-	var out []Fig4Result
-	for _, task := range tasks[:2] {
-		res := Fig4Result{Task: task.Name}
-		for mi := range Methods {
-			acc := make([]float64, cfg.Budget)
-			for trial := 0; trial < cfg.Trials; trial++ {
-				cfg.progress("fig4 %s %s trial %d/%d", task.Name, Methods[mi], trial+1, cfg.Trials)
-				b := newBackend(cfg.trialSeed(trial) + int64(mi))
-				opts := tuner.Options{
-					Budget:    cfg.Budget,
-					EarlyStop: -1, // Fig. 4 plots the full budget
-					PlanSize:  cfg.PlanSize,
-					Seed:      cfg.trialSeed(trial)*31 + int64(mi),
-				}
-				r, err := tuneTrial(ctx, NewMethodTuner(mi), task, b, opts)
-				if err != nil {
-					return nil, err
-				}
-				trace := padTrace(r.BestTrace(), cfg.Budget)
-				for i := range acc {
-					acc[i] += trace[i]
-				}
-			}
-			for i := range acc {
-				acc[i] /= float64(cfg.Trials)
-			}
-			res.Series = append(res.Series, Fig4Series{Method: Methods[mi], Trace: acc})
+	out := make([]Fig4Result, len(g.Tasks))
+	for ti, task := range g.Tasks {
+		out[ti].Task = task.Name
+		for ai, arm := range g.Arms {
+			out[ti].Series = append(out[ti].Series, Fig4Series{Method: arm.Name, Trace: MeanBestTrace(res.Trials(ai, ti), cfg.Budget)})
 		}
-		out = append(out, res)
 	}
 	return out, nil
 }
 
-// padTrace extends a best-so-far trace to length n with its final value
-// (runs can end early only when the space is exhausted).
-func padTrace(trace []float64, n int) []float64 {
-	out := make([]float64, n)
-	last := 0.0
-	for i := 0; i < n; i++ {
-		if i < len(trace) {
-			last = trace[i]
-		}
-		out[i] = last
+// fig4Grid is Fig. 4's study: the three methods on MobileNet-v1 T1 and T2
+// over the full budget (Fig. 4 plots it all, so no early stopping).
+func fig4Grid(cfg Config) (Grid, error) {
+	tasks, err := mobilenetTasks()
+	if err != nil {
+		return Grid{}, err
 	}
-	return out
+	if len(tasks) < 2 {
+		return Grid{}, fmt.Errorf("repro: expected at least 2 MobileNet tasks, got %d", len(tasks))
+	}
+	return cfg.grid("fig4", methodArms(), tasks[:2], -1), nil
 }
 
 // FinalGFLOPS returns each method's end-of-budget value.
@@ -153,14 +128,4 @@ func Fig4Check(r Fig4Result, tol float64) error {
 		}
 	}
 	return nil
-}
-
-// fig4SamplesFrom is a test hook: it exposes the per-trial samples of one
-// (task, method) cell so tests can assert trace construction.
-func fig4SamplesFrom(ctx context.Context, task *tuner.Task, mi int, cfg Config, trial int) ([]active.Sample, error) {
-	b := newBackend(cfg.trialSeed(trial) + int64(mi))
-	opts := tuner.Options{Budget: cfg.Budget, EarlyStop: -1, PlanSize: cfg.PlanSize,
-		Seed: cfg.trialSeed(trial)*31 + int64(mi)}
-	r, err := tuneTrial(ctx, NewMethodTuner(mi), task, b, opts)
-	return r.Samples, err
 }

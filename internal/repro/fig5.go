@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"repro/internal/tuner"
 )
 
 // Fig5Row holds one MobileNet-v1 task's results across the three methods:
@@ -31,24 +29,16 @@ func Fig5(ctx context.Context, cfg Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig5Result{}
-	for ti, task := range tasks {
+	res, err := RunGrid(ctx, cfg.grid("fig5", methodArms(), tasks, cfg.EarlyStop))
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig5Result{}
+	for ti := range tasks {
 		row := Fig5Row{Task: fmt.Sprintf("T%d", ti+1)}
 		for mi := range Methods {
 			var configs, gflops []float64
-			for trial := 0; trial < cfg.Trials; trial++ {
-				cfg.progress("fig5 T%d %s trial %d/%d", ti+1, Methods[mi], trial+1, cfg.Trials)
-				b := newBackend(cfg.trialSeed(trial) + int64(mi) + int64(ti)*97)
-				opts := tuner.Options{
-					Budget:    cfg.Budget,
-					EarlyStop: cfg.EarlyStop,
-					PlanSize:  cfg.PlanSize,
-					Seed:      cfg.trialSeed(trial)*31 + int64(mi) + int64(ti)*389,
-				}
-				r, err := tuneTrial(ctx, NewMethodTuner(mi), task, b, opts)
-				if err != nil {
-					return nil, err
-				}
+			for _, r := range res.Trials(mi, ti) {
 				configs = append(configs, float64(r.Measurements))
 				if r.Found {
 					gflops = append(gflops, r.Best.GFLOPS)
@@ -62,21 +52,21 @@ func Fig5(ctx context.Context, cfg Config) (*Fig5Result, error) {
 				row.RatioPct[mi] = 100 * row.GFLOPS[mi] / row.GFLOPS[0]
 			}
 		}
-		res.Rows = append(res.Rows, row)
+		out.Rows = append(out.Rows, row)
 	}
 
 	avg := Fig5Row{Task: "AVG"}
 	for mi := range Methods {
 		var cs, rs []float64
-		for _, row := range res.Rows {
+		for _, row := range out.Rows {
 			cs = append(cs, row.Configs[mi])
 			rs = append(rs, row.RatioPct[mi])
 		}
 		avg.Configs[mi] = meanOf(cs)
 		avg.RatioPct[mi] = meanOf(rs)
 	}
-	res.Avg = avg
-	return res, nil
+	out.Avg = avg
+	return out, nil
 }
 
 // Print renders both panels as text tables.

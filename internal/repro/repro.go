@@ -5,6 +5,14 @@
 // (end-to-end latency and variance for the five models under AutoTVM,
 // BTED, and BTED+BAO), and the ablations of the design choices called out
 // in DESIGN.md.
+//
+// Every arm comparison runs on one engine with its arms paired: all arms
+// of a trial tune with the trial's one seed (common random numbers), so
+// they see the same measurement noise. Fig. 4, Fig. 5, the ablations and
+// the baseline sweep are Grids of (arm, task, trial) cells (grid.go);
+// Table I's cells are job.Specs run by a job.Manager over a job.Store
+// (table1.go). The batch, precision and cross-device studies are not arm
+// comparisons and keep their own seeding.
 package repro
 
 import (
@@ -42,7 +50,7 @@ type Config struct {
 	EarlyStop int   // early-stopping threshold (paper: 400; <0 disables)
 	PlanSize  int   // batch/init size (paper: 64)
 	Runs      int   // end-to-end latency runs (paper: 600)
-	Seed      int64 // base seed; trials and tasks derive from it
+	Seed      int64 // base seed; trial t runs every arm and task with trialSeed(t)
 	// TaskConcurrency is handed to the pipeline's graph scheduler: 1 (or 0)
 	// is the classic sequential pipeline; higher values tune that many tasks
 	// concurrently in deterministic rounds without changing any result.
@@ -50,21 +58,8 @@ type Config struct {
 	// BudgetPolicy selects the scheduler's budget policy by name ("",
 	// "uniform", or "adaptive"); see core.PipelineOptions.
 	BudgetPolicy string
-	// Checkpoint, when non-empty, is a file prefix: each trial of a
-	// checkpointed study (currently Table1) streams its scheduler state to
-	// "<prefix>.<study>.<model>.<method>.trial<k>.snap" and stamps a result
-	// frame on completion, so an interrupted study can continue instead of
-	// restarting (see checkpoint.go).
-	Checkpoint string
-	// Resume continues from the Checkpoint prefix's files: finished trials
-	// are skipped (their stored results reused), in-flight trials restore
-	// from their last checkpoint frame. The rest of the Config must match
-	// the interrupted run's.
-	Resume bool
-	// CheckpointEvery spaces checkpoints by new measurements; 0 derives a
-	// stride of a quarter of the per-task budget.
-	CheckpointEvery int
-	// Progress, when non-nil, receives coarse progress lines.
+	// Progress, when non-nil, receives coarse progress lines. Studies call
+	// it from one goroutine at a time.
 	Progress func(string)
 }
 
@@ -87,7 +82,8 @@ func (c Config) progress(format string, args ...interface{}) {
 	}
 }
 
-// trialSeed decorrelates trials deterministically.
+// trialSeed decorrelates trials deterministically. Every arm and task of
+// a trial shares it.
 func (c Config) trialSeed(trial int) int64 { return c.Seed + int64(trial)*104729 }
 
 // mobilenetTasks extracts the 19 conv/depthwise tasks of Fig. 4/5.
@@ -119,7 +115,7 @@ func newBackend(seed int64) backend.Backend {
 // tuneTrial runs one (task, method) tuning trial. A completed search that
 // never saw a valid deployment is not an error at this level — the trial
 // simply contributes no GFLOPS to its row, while its Measurements still
-// count — but cancellation and every other failure propagate so study loops
+// count — but cancellation and every other failure propagate so studies
 // abort promptly.
 func tuneTrial(ctx context.Context, tn tuner.Tuner, task *tuner.Task, b backend.Backend, opts tuner.Options) (tuner.Result, error) {
 	r, err := tuner.Tune(ctx, tn, task, b, opts)

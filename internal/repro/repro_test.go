@@ -163,7 +163,7 @@ func TestTable1SingleSmallModel(t *testing.T) {
 	cfg.Budget = 24
 	cfg.PlanSize = 8
 	cfg.EarlyStop = -1
-	res, err := Table1(context.Background(), cfg, []string{"squeezenet-v1.1"})
+	res, err := Table1(context.Background(), cfg, []string{"squeezenet-v1.1"}, openStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTable1SingleSmallModel(t *testing.T) {
 
 func TestTable1UnknownModel(t *testing.T) {
 	cfg := tinyCfg()
-	if _, err := Table1(context.Background(), cfg, []string{"nope"}); err == nil {
+	if _, err := Table1(context.Background(), cfg, []string{"nope"}, openStore(t)); err == nil {
 		t.Fatal("unknown model should error")
 	}
 }
@@ -247,22 +247,5 @@ func TestMeanOf(t *testing.T) {
 	}
 	if meanOf([]float64{2, 4}) != 3 {
 		t.Fatal("mean wrong")
-	}
-}
-
-func TestFig4SamplesHook(t *testing.T) {
-	tasks, err := mobilenetTasks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyCfg()
-	cfg.Budget = 20
-	cfg.PlanSize = 8
-	samples, err := fig4SamplesFrom(context.Background(), tasks[0], 0, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) == 0 || len(samples) > 20 {
-		t.Fatalf("samples = %d", len(samples))
 	}
 }

@@ -2,12 +2,15 @@ package repro
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 
-	"repro/internal/core"
+	"repro/internal/backend"
 	"repro/internal/graph"
+	"repro/internal/job"
+	"repro/internal/par"
 	"repro/internal/stats"
-	"repro/internal/tuner"
 )
 
 // Table1Row is one model row of the paper's Table I: end-to-end latency
@@ -32,38 +35,41 @@ type Table1Result struct {
 // model is tuned by each method, the best configurations are deployed
 // together, and the latency statistics over cfg.Runs simulated inferences
 // are averaged across trials.
-func Table1(ctx context.Context, cfg Config, models []string) (*Table1Result, error) {
+//
+// Each (model, method, trial) cell is one job (see table1Spec) run by a
+// job.Manager over store, sharing one measurement memo. A cell the store
+// already finished is read back by its SpecID instead of re-tuned, and an
+// interrupted one resumes from its last checkpoint, so rerunning a killed
+// study over the same store continues it to the same numbers.
+func Table1(ctx context.Context, cfg Config, models []string, store *job.Store) (*Table1Result, error) {
 	if len(models) == 0 {
 		models = graph.ModelNames
 	}
+	var specs []job.Spec
+	var names []string
+	for _, model := range models {
+		for mi := range Methods {
+			for trial := 0; trial < cfg.Trials; trial++ {
+				specs = append(specs, cfg.table1Spec(model, mi, trial))
+				names = append(names, fmt.Sprintf("table1 %s %s trial %d/%d", model, Methods[mi], trial+1, cfg.Trials))
+			}
+		}
+	}
+	cells, err := runJobs(ctx, cfg, store, specs, names)
+	if err != nil {
+		return nil, err
+	}
+
 	res := &Table1Result{}
-	for modelIdx, model := range models {
+	for _, model := range models {
 		row := Table1Row{Model: model}
 		for mi := range Methods {
 			var lats, vars []float64
-			for trial := 0; trial < cfg.Trials; trial++ {
-				cfg.progress("table1 %s %s trial %d/%d", model, Methods[mi], trial+1, cfg.Trials)
-				b := newBackend(cfg.trialSeed(trial) + int64(mi) + int64(modelIdx)*31)
-				popts := core.PipelineOptions{
-					Tuning: tuner.Options{
-						Budget:    cfg.Budget,
-						EarlyStop: cfg.EarlyStop,
-						PlanSize:  cfg.PlanSize,
-						Seed:      cfg.trialSeed(trial)*17 + int64(mi) + int64(modelIdx)*1543,
-					},
-					Extract:         graph.AllOps,
-					UseTransfer:     true,
-					Runs:            cfg.Runs,
-					TaskConcurrency: cfg.TaskConcurrency,
-					BudgetPolicy:    cfg.BudgetPolicy,
-				}
-				lat, v, err := runTrialPipeline(ctx, cfg, "table1", model, mi, trial, b, popts)
-				if err != nil {
-					return nil, err
-				}
-				lats = append(lats, lat)
-				vars = append(vars, v)
+			for _, c := range cells[:cfg.Trials] {
+				lats = append(lats, c.LatencyMS)
+				vars = append(vars, c.Variance)
 			}
+			cells = cells[cfg.Trials:]
 			row.LatencyMS[mi] = meanOf(lats)
 			row.Variance[mi] = meanOf(vars)
 		}
@@ -123,4 +129,88 @@ func (r *Table1Result) Headline() (bestLatDeltaPct, bestVarDeltaPct float64) {
 		}
 	}
 	return bestLat, bestVar
+}
+
+// table1Spec is one Table I cell as a job: every arm of a trial runs with
+// the trial's seed, and job.Run seeds both the backend (whose simulator
+// also draws the latency runs) and the tuner from it. Checkpoints land
+// about four times per task budget.
+func (c Config) table1Spec(model string, mi, trial int) job.Spec {
+	return job.Spec{
+		Model: model, Tuner: NewMethodTuner(mi).Name(), Ops: "all",
+		Seed: c.trialSeed(trial), Budget: c.Budget, EarlyStop: c.EarlyStop,
+		PlanSize: c.PlanSize, Runs: c.Runs, TaskConcurrency: c.TaskConcurrency,
+		BudgetPolicy: c.BudgetPolicy, CheckpointEvery: c.Budget / 4,
+	}.Normalized()
+}
+
+// runJobs runs specs as jobs of a manager over store and returns their
+// terminal results in spec order; names[i] labels spec i in progress
+// lines. Specs the store already finished are read back, and interrupted
+// ones (recovered with their checkpoint) resume. On cancellation the
+// manager shuts down, leaving every running job resumable.
+func runJobs(ctx context.Context, cfg Config, store *job.Store, specs []job.Spec, names []string) ([]job.Result, error) {
+	sc := backend.NewSharedCache(0)
+	m := job.NewManagerWith(store, job.ManagerOptions{Concurrency: par.Workers(), Shared: sc})
+	defer m.Close()
+	if err := m.Recover(); err != nil {
+		return nil, err
+	}
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		ids[i] = job.SpecID(spec)
+		st, err := m.Status(ids[i])
+		switch {
+		case err == nil && st.State.Terminal():
+			cfg.progress("%s: in store", names[i])
+		case err == nil && st.Resumed:
+			cfg.progress("%s: resuming from its checkpoint", names[i])
+		case err == nil:
+			// Recovered before its first checkpoint: it reruns from scratch.
+		case errors.Is(err, job.ErrNotFound):
+			if _, err := m.Submit(job.Submit{Spec: spec}); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, err
+		}
+	}
+	out := make([]job.Result, len(specs))
+	for i, id := range ids {
+		st, err := waitJob(ctx, m, id)
+		if err != nil {
+			return nil, err
+		}
+		if st.State != job.StateDone || st.Result == nil {
+			return nil, fmt.Errorf("repro: %s: job %s ended %s: %s", names[i], id, st.State, st.Error)
+		}
+		out[i] = *st.Result
+		cfg.progress("%s", names[i])
+	}
+	cs := sc.Stats()
+	cfg.progress("table1: shared cache %d hits, %d misses", cs.Hits, cs.Misses)
+	return out, nil
+}
+
+// waitJob blocks until the job reaches a terminal state (or ctx ends) and
+// returns its final status.
+func waitJob(ctx context.Context, m *job.Manager, id string) (job.Status, error) {
+	st, err := m.Status(id)
+	if err != nil || st.State.Terminal() {
+		return st, err
+	}
+	sub, err := m.Subscribe(id, st.Records)
+	if err != nil {
+		return job.Status{}, err
+	}
+	defer sub.Close()
+	for {
+		_, more, err := sub.Next(ctx)
+		if err != nil {
+			return job.Status{}, err
+		}
+		if !more {
+			return m.Status(id)
+		}
+	}
 }

@@ -3,10 +3,12 @@
 # one core at these scales). EXPERIMENTS.md documents the settings behind
 # each file; use `cmd/repro -scale paper` for the full paper settings.
 cd "$(dirname "$0")/.." || exit 1
-go build -o /tmp/repro-bin ./cmd/repro || exit 1
+bin=$(mktemp -d) || exit 1
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/repro" ./cmd/repro || exit 1
 run() {
   name=$1; shift
-  /tmp/repro-bin "$@" > "results/${name}.txt" 2>&1
+  "$bin/repro" "$@" > "results/${name}.txt" 2>&1
   echo "${name} $(date +%H:%M:%S)" >> results/progress.txt
 }
 rm -f results/progress.txt
