@@ -14,8 +14,8 @@ test:
 # machinery or a determinism contract, run once under -race so scheduling
 # varies. It covers the concurrent measurement types (hwsim.Simulator,
 # transfer.History, the tuner worker pool, par, the shared measurement
-# cache), parallel bootstrap training and Gram assembly, parallel SA chains,
-# and the job manager's record fan-out and the daemon's SSE subscribers;
+# cache), parallel bootstrap training and Gram assembly, and the job
+# manager's record fan-out and the daemon's SSE subscribers;
 # and the determinism suite: same seed, Workers 1/4/8 must yield
 # bit-identical samples for every tuner, a cancelled or deadline-expired
 # run must return a bit-identical prefix of them, the graph scheduler's
@@ -23,9 +23,10 @@ test:
 # {1,2,4} grid (sched, plus the pipeline-level golden and invariance checks
 # in internal/core), a manager's shared cache must leave every record log
 # byte-identical to an uncached run, the kernel-level TED/mat-vec/Cholesky,
-# xgb split search + PredictBatch and GP kernel builds must be
-# bit-identical for any worker count, BAO's sampled neighborhood must take
-# exactly the RNG draws of a full walk of every trial (space), and
+# xgb training (binning, split search, prediction updates) and GP kernel
+# builds must be bit-identical for any worker count, BAO's sampled
+# neighborhood must take exactly the RNG draws of a full walk of every
+# trial (space), and
 # snapshot -> restore -> continue must be bit-identical for every tuner,
 # for the scheduler, and for the crash-resume rehearsals of the whole job
 # lifecycle: cmd/tune killed at a checkpoint boundary (sequential,
@@ -34,12 +35,12 @@ test:
 # (cmd/served); and the paper studies' paired grid, whose cells run
 # concurrently and must fold to the same numbers at any width, with a
 # Table I study resumed from its job store (internal/repro). The timeout
-# is explicit because the
-# tuner package's snapshot suite runs for 5-10 minutes under -race on a
-# 2-CPU host, close to go test's 10-minute default.
+# is explicit because the tuner package's snapshot suite runs for 5-10
+# minutes under -race on a 2-CPU host, close to go test's 10-minute
+# default.
 determinism:
 	$(GO) test -race -timeout 30m \
-		./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/sa ./internal/snap ./internal/rng ./internal/space ./internal/job ./internal/serve ./internal/repro ./cmd/tune ./cmd/served
+		./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/snap ./internal/rng ./internal/space ./internal/job ./internal/serve ./internal/repro ./cmd/tune ./cmd/served
 
 # Benchmark smoke pass: every committed benchmark must still compile and
 # run (one iteration; not a timing source).

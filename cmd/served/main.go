@@ -62,6 +62,26 @@ func main() {
 	}
 }
 
+// Connection timeouts of the daemon's HTTP server. A client that has not
+// sent its complete request headers within readHeaderTimeout is
+// disconnected, so slow or stalled clients cannot pin connections, and a
+// keep-alive connection idle for idleTimeout is closed. There is no write
+// timeout: a /stream response stays open for as long as its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server for h on addr.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(addr, storeDir string, concurrency, maxQueue, cacheCap int) error {
 	store, err := job.OpenStore(storeDir)
 	if err != nil {
@@ -88,7 +108,7 @@ func run(addr, storeDir string, concurrency, maxQueue, cacheCap int) error {
 		}
 	}
 
-	srv := &http.Server{Addr: addr, Handler: serve.New(mgr)}
+	srv := newServer(addr, serve.New(mgr))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -66,7 +66,6 @@ type Model struct {
 	ls2    float64 // 2 * lengthscale^2
 	x      [][]float64
 	alpha  []float64
-	chol   *linalg.Cholesky
 	mean   float64
 }
 
@@ -149,7 +148,6 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 		ls2:    ls2,
 		x:      X,
 		alpha:  chol.Solve(centered),
-		chol:   chol,
 		mean:   mean,
 	}, nil
 }
@@ -161,50 +159,6 @@ func (m *Model) Predict(x []float64) float64 {
 		s += m.alpha[i] * m.params.SignalVar * math.Exp(-linalg.Dist2(x, xi)/m.ls2)
 	}
 	return s
-}
-
-// PredictBatch returns the posterior mean at each query point.
-func (m *Model) PredictBatch(xs [][]float64) []float64 {
-	return m.PredictBatchParallel(xs, par.Workers())
-}
-
-// PredictBatchParallel is PredictBatch over the worker pool. Each output
-// depends only on its own query, so the result is bit-identical to calling
-// Predict per point, for any worker count.
-func (m *Model) PredictBatchParallel(xs [][]float64, workers int) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs)*len(m.x) < gpParallelMinWork {
-		workers = 1
-	}
-	par.For(len(xs), workers, func(i int) {
-		out[i] = m.Predict(xs[i])
-	})
-	return out
-}
-
-// gpParallelMinWork is the query-count x training-size product below which
-// PredictBatch stays serial; smaller batches cannot amortize pool dispatch.
-const gpParallelMinWork = 1 << 12
-
-// PredictVar returns the posterior mean and variance at x; the variance
-// quantifies epistemic uncertainty and can drive acquisition functions.
-func (m *Model) PredictVar(x []float64) (mean, variance float64) {
-	n := len(m.x)
-	k := make([]float64, n)
-	s := m.mean
-	for i, xi := range m.x {
-		k[i] = m.params.SignalVar * math.Exp(-linalg.Dist2(x, xi)/m.ls2)
-		s += m.alpha[i] * k[i]
-	}
-	v := m.chol.SolveVecL(k)
-	variance = m.params.SignalVar
-	for _, vi := range v {
-		variance -= vi * vi
-	}
-	if variance < 0 {
-		variance = 0
-	}
-	return s, variance
 }
 
 // NumPoints returns the retained training-set size.

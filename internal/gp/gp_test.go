@@ -45,28 +45,6 @@ func TestGPInterpolates(t *testing.T) {
 	}
 }
 
-func TestGPPredictVar(t *testing.T) {
-	X, y := makeData(60, 0.01, 3)
-	m, err := Train(X, y, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Variance near a training point is small; far away it approaches the
-	// signal variance.
-	_, vNear := m.PredictVar(X[0])
-	_, vFar := m.PredictVar([]float64{100, 100})
-	if vNear >= vFar {
-		t.Fatalf("vNear %.4f should be below vFar %.4f", vNear, vFar)
-	}
-	if vFar > 1.01 || vFar < 0.5 {
-		t.Fatalf("far variance %.4f should approach signal variance 1", vFar)
-	}
-	mean, _ := m.PredictVar(X[0])
-	if math.Abs(mean-m.Predict(X[0])) > 1e-9 {
-		t.Fatal("PredictVar mean must match Predict")
-	}
-}
-
 func TestGPValidation(t *testing.T) {
 	if _, err := Train(nil, nil, DefaultParams()); err == nil {
 		t.Fatal("empty data should error")

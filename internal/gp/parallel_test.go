@@ -28,35 +28,6 @@ func TestGPTrainWorkerCountInvariance(t *testing.T) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("workers=%d: Predict=%x, serial %x", workers, math.Float64bits(got), math.Float64bits(want))
 			}
-			wm, wv := ref.PredictVar(x)
-			gm, gv := m.PredictVar(x)
-			if math.Float64bits(gm) != math.Float64bits(wm) || math.Float64bits(gv) != math.Float64bits(wv) {
-				t.Fatalf("workers=%d: PredictVar=(%x,%x), serial (%x,%x)", workers,
-					math.Float64bits(gm), math.Float64bits(gv), math.Float64bits(wm), math.Float64bits(wv))
-			}
-		}
-	}
-}
-
-// TestGPPredictBatchWorkerCountInvariance checks the parallel batch
-// prediction against per-point Predict, bit for bit, for every worker count.
-func TestGPPredictBatchWorkerCountInvariance(t *testing.T) {
-	X, y := benchData(300, 5, 1)
-	m, err := Train(X, y, DefaultParams())
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	pool, _ := benchData(150, 5, 2)
-	ref := make([]float64, len(pool))
-	for i, x := range pool {
-		ref[i] = m.Predict(x)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		got := m.PredictBatchParallel(pool, workers)
-		for i := range ref {
-			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("workers=%d: out[%d]=%x, want %x", workers, i, math.Float64bits(got[i]), math.Float64bits(ref[i]))
-			}
 		}
 	}
 }

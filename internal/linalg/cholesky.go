@@ -161,25 +161,6 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 	return x
 }
 
-// SolveVecL returns y with L y = b (forward substitution only), used for
-// predictive-variance computations.
-func (c *Cholesky) SolveVecL(b []float64) []float64 {
-	if len(b) != c.n {
-		//lint:ignore panicpath kernel invariant: dimension mismatch is a programmer error, panics like gonum/mat
-		panic("linalg: Cholesky.SolveVecL dimension mismatch")
-	}
-	n := c.n
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= c.l[i*n+k] * y[k]
-		}
-		y[i] = sum / c.l[i*n+i]
-	}
-	return y
-}
-
 // LogDet returns log det(A) = 2 Σ log L_ii.
 func (c *Cholesky) LogDet() float64 {
 	s := 0.0

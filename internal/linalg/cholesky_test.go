@@ -94,21 +94,6 @@ func TestCholeskyLogDet(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveVecL(t *testing.T) {
-	// For diagonal A, L = sqrt(A) and L y = b gives y = b / sqrt(diag).
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 4)
-	a.Set(1, 1, 9)
-	c, err := NewCholesky(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := c.SolveVecL([]float64{2, 3})
-	if math.Abs(y[0]-1) > 1e-12 || math.Abs(y[1]-1) > 1e-12 {
-		t.Fatalf("y = %v", y)
-	}
-}
-
 func TestCholeskySolvePanicsOnDim(t *testing.T) {
 	c, err := NewCholesky(spdMatrix(3, 3), 0)
 	if err != nil {

@@ -91,24 +91,6 @@ func (m *Model) Predict(x []float64) float64 {
 	return s / float64(len(m.trees))
 }
 
-// PredictWithSpread returns the ensemble mean and the standard deviation of
-// per-tree predictions — a cheap uncertainty proxy.
-func (m *Model) PredictWithSpread(x []float64) (mean, spread float64) {
-	preds := make([]float64, len(m.trees))
-	s := 0.0
-	for i := range m.trees {
-		preds[i] = m.trees[i].predict(x)
-		s += preds[i]
-	}
-	mean = s / float64(len(preds))
-	v := 0.0
-	for _, p := range preds {
-		d := p - mean
-		v += d * d
-	}
-	return mean, math.Sqrt(v / float64(len(preds)))
-}
-
 // Train fits a random forest to (X, y).
 func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	if err := p.validate(); err != nil {

@@ -102,27 +102,6 @@ func TestForestDeterministic(t *testing.T) {
 	}
 }
 
-func TestForestSpread(t *testing.T) {
-	X, y := makeData(300, 0.2, 4)
-	m, err := Train(X, y, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	meanAt, spreadAt := m.PredictWithSpread(X[0])
-	if math.Abs(meanAt-m.Predict(X[0])) > 1e-9 {
-		t.Fatal("spread mean must match Predict")
-	}
-	if spreadAt < 0 {
-		t.Fatal("spread must be non-negative")
-	}
-	// Far outside the data, trees disagree at least as much as at a dense
-	// training point, typically more.
-	_, spreadFar := m.PredictWithSpread([]float64{100, -100, 50})
-	if spreadFar < 0 {
-		t.Fatal("negative spread")
-	}
-}
-
 func TestForestConstantTarget(t *testing.T) {
 	X, _ := makeData(50, 0, 5)
 	y := make([]float64, 50)

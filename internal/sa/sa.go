@@ -1,23 +1,14 @@
-// Package sa implements the parallel simulated-annealing optimizer AutoTVM
-// uses to maximize its learned cost model over a schedule configuration
-// space: a batch of walkers performs knob-mutation random walks under a
-// decaying temperature while a top-k tracker collects the best unvisited
+// Package sa implements the simulated-annealing optimizer AutoTVM uses to
+// maximize its learned cost model over a schedule configuration space: a
+// batch of walkers performs knob-mutation random walks under a decaying
+// temperature while a top-k tracker collects the best unvisited
 // configurations found anywhere along the walk.
 //
-// Two objective shapes are supported. The plain BatchObjective scores every
-// proposal batch from scratch. A DeltaObjective additionally learns which
-// single knob each proposal changed relative to its walker's current point,
-// and is told when a proposal is accepted — enough for an implementation to
-// keep encoded feature rows and cached per-tree predictions and rescore
-// each proposal incrementally (see internal/tuner's compiled-surrogate
-// objective).
-//
-// Walkers can optionally be partitioned into independent parallel chains
-// (Options.Chains): each chain anneals its own walker subset under its own
-// split-seeded RNG, and the per-chain top-k sets merge into the global
-// top-k in fixed chain order, so the result is bit-identical for any
-// Options.Workers value. Chains <= 1 is the serial legacy path, bit-exact
-// with the original single-chain implementation.
+// The objective learns which single knob each proposal changed relative to
+// its walker's current point, and is told when a proposal is accepted —
+// enough for an implementation to keep encoded feature rows and cached
+// per-tree predictions and rescore each proposal incrementally (see
+// internal/tuner's surrogate objective).
 package sa
 
 import (
@@ -25,20 +16,13 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/par"
 	"repro/internal/space"
 )
 
-// BatchObjective scores a batch of configurations; higher is better. The
-// tuner backs this with cost-model batch prediction. With Options.Chains
-// > 1 the function is called concurrently from chain goroutines and must
-// be safe for concurrent use.
-type BatchObjective func([]space.Config) []float64
-
-// DeltaObjective is the incremental-scoring upgrade of BatchObjective.
-// The annealer drives it through a strict protocol, per chain:
+// DeltaObjective scores configurations; higher is better. The annealer
+// drives it through a strict protocol:
 //
-//  1. InitBatch scores the chain's initial walker points from scratch.
+//  1. InitBatch scores the initial walker points from scratch.
 //  2. Each round, ProposeBatch scores the proposal batch; proposals[i]
 //     differs from walker i's current point at exactly knob changed[i]
 //     (changed[i] < 0 means the proposal is an unchanged clone — a
@@ -48,82 +32,21 @@ type BatchObjective func([]space.Config) []float64
 //     proposals[i] from the most recent ProposeBatch.
 //
 // Returned score slices are only read until the next call, so
-// implementations may reuse one buffer. Fork returns a fresh instance
-// (sharing read-only model state) for an additional parallel chain; it is
-// called serially before any chain starts.
+// implementations may reuse one buffer.
 type DeltaObjective interface {
 	InitBatch(points []space.Config) []float64
 	ProposeBatch(proposals []space.Config, changed []int) []float64
 	Commit(i int)
-	Fork() DeltaObjective
 }
 
-// Options configures a simulated-annealing search.
-//
-// Temperature contract: the schedule interpolates linearly from TempStart
-// to TempEnd over Iters steps and must be non-increasing. The zero value
-// selects the package defaults (TempStart 1.0, TempEnd 0), so TempStart ==
-// 0 means "default", not "greedy"; a negative TempStart explicitly
-// requests a zero-temperature greedy walk. normalized() clamps rather than
-// silently reinterprets: negative temperatures clamp to 0, and an inverted
-// schedule (TempEnd > TempStart) is truncated to the constant TempStart —
-// it never anneals upward.
-type Options struct {
-	// ParallelSize is the number of concurrent walkers (AutoTVM: 128).
-	ParallelSize int
-	// Iters is the number of annealing steps (AutoTVM: 500; we default
-	// lower because the landscape is smaller-dimensional).
-	Iters int
-	// TempStart/TempEnd bound the linear temperature schedule; see the
-	// Options contract above for how zero/negative/inverted values are
-	// normalized.
-	TempStart, TempEnd float64
-	// Chains partitions the walkers into this many independent annealing
-	// chains run in parallel, each with its own RNG split-seeded from the
-	// caller's stream, merged into the top-k in fixed chain order. <= 1
-	// keeps the serial single-chain path (bit-exact legacy semantics);
-	// any value > 1 changes the sample stream relative to Chains <= 1 but
-	// is itself deterministic and Workers-invariant.
-	Chains int
-	// Workers caps the goroutines running chains when Chains > 1
-	// (<= 0: par.Workers()). Purely a scheduling knob: results are
-	// bit-identical for every value.
-	Workers int
-}
-
-// DefaultOptions mirrors a scaled-down AutoTVM SA configuration.
-func DefaultOptions() Options {
-	return Options{ParallelSize: 96, Iters: 120, TempStart: 1.0, TempEnd: 0.0}
-}
-
-// normalized applies defaults and enforces the Options contract: a
-// non-increasing, non-negative temperature schedule.
-func (o Options) normalized() Options {
-	if o.ParallelSize <= 0 {
-		o.ParallelSize = 96
-	}
-	if o.Iters <= 0 {
-		o.Iters = 120
-	}
-	if o.TempStart == 0 {
-		o.TempStart = 1.0
-	}
-	if o.TempStart < 0 {
-		o.TempStart = 0
-	}
-	if o.TempEnd < 0 {
-		o.TempEnd = 0
-	}
-	if o.TempEnd > o.TempStart {
-		// Inverted schedule: truncate to a constant-temperature walk
-		// instead of silently annealing upward.
-		o.TempEnd = o.TempStart
-	}
-	if o.Chains < 0 {
-		o.Chains = 0
-	}
-	return o
-}
+// The annealing schedule, a scaled-down AutoTVM configuration (AutoTVM
+// runs 128 walkers for 500 steps; the landscape here is
+// smaller-dimensional): walkers anneal for iters steps while the
+// temperature falls linearly from 1 towards 0.
+const (
+	walkers = 96
+	iters   = 120
+)
 
 // scoredConfig pairs a config with its objective value in the top-k heap.
 // The flat index rides along so evictions never re-derive it.
@@ -198,144 +121,23 @@ func (t *topK) offer(c space.Config, f uint64, s float64) {
 	heap.Push(&t.h, scoredConfig{c.Clone(), f, s})
 }
 
-// drain empties the tracker and returns its entries best-first.
-func (t *topK) drain() []scoredConfig {
-	out := make([]scoredConfig, t.h.Len())
+// drain empties the tracker and returns its configurations best-first.
+func (t *topK) drain() []space.Config {
+	out := make([]space.Config, t.h.Len())
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&t.h).(scoredConfig)
+		out[i] = heap.Pop(&t.h).(scoredConfig).cfg
 	}
 	return out
 }
-
-// scorer is the engine-internal objective shape both objective kinds
-// adapt to.
-type scorer interface {
-	scoreInit(points []space.Config) []float64
-	scoreProposals(proposals []space.Config, changed []int) []float64
-	commit(i int)
-}
-
-// funcScorer adapts a BatchObjective: every batch is scored from scratch
-// and accept notifications are dropped.
-type funcScorer struct{ obj BatchObjective }
-
-func (s funcScorer) scoreInit(points []space.Config) []float64 { return s.obj(points) }
-func (s funcScorer) scoreProposals(proposals []space.Config, _ []int) []float64 {
-	return s.obj(proposals)
-}
-func (s funcScorer) commit(int) {}
-
-// deltaScorer adapts a DeltaObjective.
-type deltaScorer struct{ obj DeltaObjective }
-
-func (s deltaScorer) scoreInit(points []space.Config) []float64 { return s.obj.InitBatch(points) }
-func (s deltaScorer) scoreProposals(proposals []space.Config, changed []int) []float64 {
-	return s.obj.ProposeBatch(proposals, changed)
-}
-func (s deltaScorer) commit(i int) { s.obj.Commit(i) }
 
 // FindMaxima anneals walkers over the space and returns up to k distinct
 // configurations with the highest objective values, excluding flat indices
 // present in exclude (typically the already-measured set; read-only during
 // the call). Results are ordered best-first.
-func FindMaxima(sp *space.Space, obj BatchObjective, k int, exclude map[uint64]bool, opts Options, rng *rand.Rand) []space.Config {
-	return findMaxima(sp, func() scorer { return funcScorer{obj} }, k, exclude, opts, rng)
-}
-
-// FindMaximaDelta is FindMaxima over a DeltaObjective: identical annealing
-// semantics and RNG stream, with the objective given enough context to
-// score proposals incrementally. With any objective that scores a proposal
-// identically to a from-scratch evaluation, the result is bit-identical to
-// FindMaxima.
-func FindMaximaDelta(sp *space.Space, obj DeltaObjective, k int, exclude map[uint64]bool, opts Options, rng *rand.Rand) []space.Config {
-	first := true
-	mk := func() scorer {
-		if first {
-			first = false
-			return deltaScorer{obj}
-		}
-		return deltaScorer{obj.Fork()}
-	}
-	return findMaxima(sp, mk, k, exclude, opts, rng)
-}
-
-func findMaxima(sp *space.Space, mk func() scorer, k int, exclude map[uint64]bool, opts Options, rng *rand.Rand) []space.Config {
-	opts = opts.normalized()
+func FindMaxima(sp *space.Space, obj DeltaObjective, k int, exclude map[uint64]bool, rng *rand.Rand) []space.Config {
 	if k <= 0 {
 		return nil
 	}
-	// A space where no knob has two options cannot be mutated: every
-	// proposal would be an unchanged clone that passes the >= acceptance
-	// test, burning Iters objective batches on a single point. Score the
-	// initial walkers once and skip the annealing loop entirely.
-	mutable := false
-	for i := 0; i < sp.NumKnobs(); i++ {
-		if sp.Knob(i).Len() >= 2 {
-			mutable = true
-			break
-		}
-	}
-
-	chains := opts.Chains
-	if chains > opts.ParallelSize {
-		chains = opts.ParallelSize
-	}
-	if chains <= 1 {
-		top := runChain(sp, mk(), opts.ParallelSize, opts, k, exclude, rng, mutable)
-		return configsOf(top.drain())
-	}
-
-	// Parallel chains: walker counts and RNG seeds are fixed serially up
-	// front (seeds split off the caller's stream in chain order), each
-	// chain runs independently writing only its own slot, and the
-	// per-chain bests merge in chain order — Workers only schedules, it
-	// never changes what is computed.
-	type chainState struct {
-		//lint:ignore rngfield per-call scratch for one findMaxima invocation, never snapshotted
-		rng     *rand.Rand
-		sc      scorer
-		walkers int
-		top     *topK
-	}
-	cs := make([]chainState, chains)
-	base, extra := opts.ParallelSize/chains, opts.ParallelSize%chains
-	for c := range cs {
-		w := base
-		if c < extra {
-			w++
-		}
-		cs[c] = chainState{rng: rand.New(rand.NewSource(rng.Int63())), sc: mk(), walkers: w}
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	par.For(chains, workers, func(c int) {
-		s := &cs[c]
-		s.top = runChain(sp, s.sc, s.walkers, opts, k, exclude, s.rng, mutable)
-	})
-	merged := newTopK(k, exclude)
-	for c := range cs {
-		for _, e := range cs[c].top.drain() {
-			merged.offer(e.cfg, e.flat, e.score)
-		}
-	}
-	return configsOf(merged.drain())
-}
-
-func configsOf(entries []scoredConfig) []space.Config {
-	out := make([]space.Config, len(entries))
-	for i, e := range entries {
-		out[i] = e.cfg
-	}
-	return out
-}
-
-// runChain anneals one chain of walkers and returns its top-k tracker.
-// With the caller's RNG and walkers == ParallelSize this is the exact
-// legacy single-chain loop: same draw order, same acceptance rule, same
-// offer sequence.
-func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, exclude map[uint64]bool, rng *rand.Rand, mutable bool) *topK {
 	lens, strides := knobRadix(sp)
 	points := make([]space.Config, walkers)
 	flats := make([]uint64, walkers)
@@ -344,14 +146,25 @@ func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, excl
 		flats[i] = points[i].Flat()
 	}
 	scores := make([]float64, walkers)
-	copy(scores, sc.scoreInit(points))
+	copy(scores, obj.InitBatch(points))
 
 	top := newTopK(k, exclude)
 	for i, c := range points {
 		top.offer(c, flats[i], scores[i])
 	}
+	// A space where no knob has two options cannot be mutated: every
+	// proposal would be an unchanged clone that passes the >= acceptance
+	// test, burning iters objective batches on a single point. The initial
+	// walkers are all there is.
+	mutable := false
+	for _, l := range lens {
+		if l >= 2 {
+			mutable = true
+			break
+		}
+	}
 	if !mutable {
-		return top
+		return top.drain()
 	}
 
 	// Proposal buffers are allocated once and reused every iteration; on
@@ -368,14 +181,14 @@ func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, excl
 	}
 	propFlats := make([]uint64, walkers)
 	propScores := make([]float64, walkers)
-	for it := 0; it < opts.Iters; it++ {
-		frac := float64(it) / float64(opts.Iters)
-		temp := opts.TempStart + (opts.TempEnd-opts.TempStart)*frac
+	for it := 0; it < iters; it++ {
+		// Always > 0: the last step runs at temperature 1/iters.
+		temp := 1 - float64(it)/iters
 		for i, c := range points {
 			// Loop invariant: proposals[i] differs from points[i] at most at
 			// the knob it mutated last round (true after both accept — the
 			// buffers swap — and reject), so one repair write re-syncs it
-			// and the full Index copy in mutateInto is skipped.
+			// and a full Index copy is skipped.
 			if pk := changed[i]; pk >= 0 {
 				proposals[i].Index[pk] = c.Index[pk]
 			}
@@ -391,10 +204,10 @@ func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, excl
 				propFlats[i] = flats[i]
 			}
 		}
-		copy(propScores, sc.scoreProposals(proposals, changed))
+		copy(propScores, obj.ProposeBatch(proposals, changed))
 		for i := range points {
 			accept := propScores[i] >= scores[i]
-			if !accept && temp > 0 {
+			if !accept {
 				u := rng.Float64()
 				x := (propScores[i] - scores[i]) / temp
 				if x <= -44 {
@@ -407,7 +220,7 @@ func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, excl
 				}
 			}
 			if accept {
-				sc.commit(i)
+				obj.Commit(i)
 				points[i], proposals[i] = proposals[i], points[i]
 				flats[i] = propFlats[i]
 				scores[i] = propScores[i]
@@ -415,7 +228,7 @@ func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, excl
 			}
 		}
 	}
-	return top
+	return top.drain()
 }
 
 // knobRadix precomputes each knob's option count and mixed-radix stride
@@ -438,11 +251,8 @@ func knobRadix(sp *space.Space) ([]int, []uint64) {
 // mutateIdx reassigns one random knob of dst to a random different option
 // and returns that knob's index (-1 when four attempts only drew knobs
 // with fewer than two options and dst is unchanged). lens holds the
-// per-knob option counts of dst's space. The RNG draw sequence is
-// identical to mutate's, so swapping between them never shifts the stream.
-// The annealing loop calls it on a proposal buffer it has already
-// re-synced to the walker's current point, skipping the Index copy
-// mutateInto performs.
+// per-knob option counts of dst's space. The annealing loop calls it on a
+// proposal buffer it has already re-synced to the walker's current point.
 func mutateIdx(lens []int, dst space.Config, rng *rand.Rand) int {
 	n := len(lens)
 	for attempt := 0; attempt < 4; attempt++ {
@@ -459,22 +269,4 @@ func mutateIdx(lens []int, dst space.Config, rng *rand.Rand) int {
 		return ki
 	}
 	return -1
-}
-
-// mutateInto overwrites dst's Index with a copy of src's and applies
-// mutateIdx to it. dst must have the same Index length as src.
-func mutateInto(lens []int, dst, src space.Config, rng *rand.Rand) int {
-	copy(dst.Index, src.Index)
-	return mutateIdx(lens, dst, rng)
-}
-
-// mutate returns a copy of c with one random knob reassigned to a random
-// different option, plus the index of the knob it changed (-1 when four
-// attempts only drew knobs with fewer than two options and the copy is
-// unchanged). The annealing loop itself uses the allocation-free
-// mutateInto.
-func mutate(sp *space.Space, c space.Config, rng *rand.Rand) (space.Config, int) {
-	lens, _ := knobRadix(sp)
-	m := c.Clone()
-	return m, mutateInto(lens, m, c, rng)
 }

@@ -20,6 +20,29 @@ func gridSpace() *space.Space {
 	)
 }
 
+// rescore is the full-rescore oracle of the DeltaObjective protocol: it
+// ignores the delta hints and scores every batch from scratch, counting the
+// calls it receives.
+type rescore struct {
+	f                      func([]space.Config) []float64
+	inits, rounds, commits int
+}
+
+func (r *rescore) InitBatch(points []space.Config) []float64 {
+	r.inits++
+	return r.f(points)
+}
+
+func (r *rescore) ProposeBatch(proposals []space.Config, _ []int) []float64 {
+	r.rounds++
+	return r.f(proposals)
+}
+
+func (r *rescore) Commit(int) { r.commits++ }
+
+// peakObj is peakObjective as a full-rescore objective.
+func peakObj() *rescore { return &rescore{f: peakObjective} }
+
 // peakObjective is maximized at a=15, b=5, c=10.
 func peakObjective(batch []space.Config) []float64 {
 	out := make([]float64, len(batch))
@@ -35,7 +58,7 @@ func peakObjective(batch []space.Config) []float64 {
 func TestFindMaximaFindsPeak(t *testing.T) {
 	sp := gridSpace()
 	rng := rand.New(rand.NewSource(1))
-	got := FindMaxima(sp, peakObjective, 5, nil, DefaultOptions(), rng)
+	got := FindMaxima(sp, peakObj(), 5, nil, rng)
 	if len(got) != 5 {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -55,7 +78,7 @@ func TestFindMaximaFindsPeak(t *testing.T) {
 func TestFindMaximaDistinct(t *testing.T) {
 	sp := gridSpace()
 	rng := rand.New(rand.NewSource(2))
-	got := FindMaxima(sp, peakObjective, 20, nil, DefaultOptions(), rng)
+	got := FindMaxima(sp, peakObj(), 20, nil, rng)
 	seen := make(map[uint64]bool)
 	for _, c := range got {
 		f := c.Flat()
@@ -74,7 +97,7 @@ func TestFindMaximaExcludes(t *testing.T) {
 		t.Fatal(err)
 	}
 	exclude := map[uint64]bool{peak.Flat(): true}
-	got := FindMaxima(sp, peakObjective, 5, exclude, DefaultOptions(), rng)
+	got := FindMaxima(sp, peakObj(), 5, exclude, rng)
 	for _, c := range got {
 		if c.Flat() == peak.Flat() {
 			t.Fatal("excluded config returned")
@@ -85,26 +108,44 @@ func TestFindMaximaExcludes(t *testing.T) {
 func TestFindMaximaZeroK(t *testing.T) {
 	sp := gridSpace()
 	rng := rand.New(rand.NewSource(4))
-	if got := FindMaxima(sp, peakObjective, 0, nil, DefaultOptions(), rng); got != nil {
+	if got := FindMaxima(sp, peakObj(), 0, nil, rng); got != nil {
 		t.Fatal("k=0 should return nil")
 	}
 }
 
 func TestFindMaximaBeatsRandomSearch(t *testing.T) {
 	// On the same evaluation budget, SA should reach a better objective
-	// value than pure random sampling (averaged over repeats).
-	sp := gridSpace()
-	opts := Options{ParallelSize: 16, Iters: 30}
-	budget := 16 * 31
+	// value than pure random sampling (averaged over repeats). The space
+	// has 20^6 points, so the budget covers under 0.02% of it.
+	vals := make([]int, 20)
+	for i := range vals {
+		vals[i] = i
+	}
+	var knobs []space.Knob
+	for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		knobs = append(knobs, space.NewEnumKnob(name, vals...))
+	}
+	sp := space.New(knobs...)
+	obj := func(batch []space.Config) []float64 {
+		out := make([]float64, len(batch))
+		for i, c := range batch {
+			for k, v := range c.Index {
+				d := float64(v - 3*k)
+				out[i] -= d * d
+			}
+		}
+		return out
+	}
+	budget := walkers * (iters + 1)
 	saWins := 0
 	rounds := 10
 	for r := 0; r < rounds; r++ {
 		rng := rand.New(rand.NewSource(int64(100 + r)))
-		saBest := peakObjective(FindMaxima(sp, peakObjective, 1, nil, opts, rng))[0]
+		saBest := obj(FindMaxima(sp, &rescore{f: obj}, 1, nil, rng))[0]
 		rng2 := rand.New(rand.NewSource(int64(200 + r)))
 		randBest := -1e18
 		for i := 0; i < budget; i++ {
-			v := peakObjective([]space.Config{sp.Random(rng2)})[0]
+			v := obj([]space.Config{sp.Random(rng2)})[0]
 			if v > randBest {
 				randBest = v
 			}
@@ -118,37 +159,29 @@ func TestFindMaximaBeatsRandomSearch(t *testing.T) {
 	}
 }
 
-func TestOptionsNormalized(t *testing.T) {
-	o := Options{}.normalized()
-	if o.ParallelSize <= 0 || o.Iters <= 0 || o.TempStart <= 0 {
-		t.Fatalf("normalized options invalid: %+v", o)
-	}
-	o = Options{ParallelSize: 7, Iters: 9, TempStart: 2, TempEnd: 1}.normalized()
-	if o.ParallelSize != 7 || o.Iters != 9 || o.TempStart != 2 || o.TempEnd != 1 {
-		t.Fatal("explicit options must be preserved")
-	}
-}
-
-// TestOptionsNormalizedSchedule pins the temperature-schedule contract:
-// an inverted schedule never anneals upward (it truncates to a constant
-// TempStart), negative temperatures clamp to a greedy zero, and the zero
-// value still selects the package default.
-func TestOptionsNormalizedSchedule(t *testing.T) {
-	o := Options{TempStart: 1, TempEnd: 5}.normalized()
-	if o.TempStart != 1 || o.TempEnd != 1 {
-		t.Fatalf("inverted schedule must clamp TempEnd to TempStart, got start=%v end=%v", o.TempStart, o.TempEnd)
-	}
-	o = Options{TempStart: -3, TempEnd: -1}.normalized()
-	if o.TempStart != 0 || o.TempEnd != 0 {
-		t.Fatalf("negative temperatures must clamp to greedy zero, got start=%v end=%v", o.TempStart, o.TempEnd)
-	}
-	o = Options{TempEnd: 0.5}.normalized()
-	if o.TempStart != 1.0 || o.TempEnd != 0.5 {
-		t.Fatalf("zero TempStart must select the default, got start=%v end=%v", o.TempStart, o.TempEnd)
-	}
-	o = Options{Chains: -2}.normalized()
-	if o.Chains != 0 {
-		t.Fatalf("negative Chains must normalize to 0, got %d", o.Chains)
+// TestFindMaximaProtocol pins the objective protocol: one InitBatch, one
+// ProposeBatch per annealing step, and a Commit for every accepted
+// proposal; two runs from the same seed return the same candidates.
+func TestFindMaximaProtocol(t *testing.T) {
+	sp := gridSpace()
+	for seed := int64(0); seed < 3; seed++ {
+		a, b := peakObj(), peakObj()
+		want := FindMaxima(sp, a, 8, nil, rand.New(rand.NewSource(seed)))
+		got := FindMaxima(sp, b, 8, nil, rand.New(rand.NewSource(seed)))
+		if len(want) != 8 || len(got) != len(want) {
+			t.Fatalf("seed %d: %d and %d candidates, want 8", seed, len(want), len(got))
+		}
+		for i := range want {
+			if want[i].Flat() != got[i].Flat() {
+				t.Fatalf("seed %d: candidate %d differs between runs", seed, i)
+			}
+		}
+		if a.inits != 1 || a.rounds != iters {
+			t.Fatalf("seed %d: %d inits / %d proposal rounds, want 1 / %d", seed, a.inits, a.rounds, iters)
+		}
+		if a.commits == 0 || a.commits != b.commits {
+			t.Fatalf("seed %d: %d and %d commits", seed, a.commits, b.commits)
+		}
 	}
 }
 
@@ -194,22 +227,20 @@ func TestMutateSingleOptionKnobs(t *testing.T) {
 // re-offering the unmutated clone for Iters rounds.
 func TestFindMaximaDegenerateSpace(t *testing.T) {
 	sp := space.New(space.NewEnumKnob("a", 7), space.NewEnumKnob("b", 1))
-	calls := 0
-	obj := func(batch []space.Config) []float64 {
-		calls++
+	obj := &rescore{f: func(batch []space.Config) []float64 {
 		out := make([]float64, len(batch))
 		for i := range out {
 			out[i] = 1
 		}
 		return out
-	}
+	}}
 	rng := rand.New(rand.NewSource(8))
-	got := FindMaxima(sp, obj, 5, nil, Options{ParallelSize: 16, Iters: 200}, rng)
+	got := FindMaxima(sp, obj, 5, nil, rng)
 	if len(got) != 1 {
 		t.Fatalf("one-point space returned %d configs", len(got))
 	}
-	if calls != 1 {
-		t.Fatalf("objective called %d times on a degenerate space, want 1 (init only)", calls)
+	if obj.inits != 1 || obj.rounds != 0 {
+		t.Fatalf("objective called %d/%d times on a degenerate space, want 1/0 (init only)", obj.inits, obj.rounds)
 	}
 }
 
@@ -217,7 +248,7 @@ func TestFindMaximaSmallSpace(t *testing.T) {
 	// k larger than the whole space: return everything reachable.
 	sp := space.New(space.NewEnumKnob("a", 0, 1), space.NewEnumKnob("b", 0, 1))
 	rng := rand.New(rand.NewSource(7))
-	got := FindMaxima(sp, peakObjectiveSmall, 100, nil, Options{ParallelSize: 8, Iters: 20}, rng)
+	got := FindMaxima(sp, &rescore{f: peakObjectiveSmall}, 100, nil, rng)
 	if len(got) == 0 || len(got) > 4 {
 		t.Fatalf("got %d results from a 4-point space", len(got))
 	}
@@ -229,4 +260,14 @@ func peakObjectiveSmall(batch []space.Config) []float64 {
 		out[i] = float64(c.Index[0] + c.Index[1])
 	}
 	return out
+}
+
+// mutate returns a copy of c with one random knob reassigned to a random
+// different option, plus the index of the knob it changed (-1 when four
+// attempts only drew knobs with fewer than two options and the copy is
+// unchanged) — mutateIdx on a fresh copy.
+func mutate(sp *space.Space, c space.Config, rng *rand.Rand) (space.Config, int) {
+	lens, _ := knobRadix(sp)
+	m := c.Clone()
+	return m, mutateIdx(lens, m, rng)
 }

@@ -79,7 +79,7 @@ func (t *ChameleonTuner) Open(task *Task, b backend.Backend, opts Options, st *S
 		var batch []space.Config
 		if model != nil {
 			obj := newSAObjective(model, task.Space)
-			proposals := sa.FindMaximaDelta(task.Space, obj, pf*opts.PlanSize, s.visited, t.Inner.saOptions(opts), rng)
+			proposals := sa.FindMaxima(task.Space, obj, pf*opts.PlanSize, s.visited, rng)
 			batch = adaptiveSample(proposals, int(mf*float64(opts.PlanSize)), rng)
 		}
 		planned := make(map[uint64]bool, len(batch))

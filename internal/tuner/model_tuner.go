@@ -38,8 +38,6 @@ type ModelTuner struct {
 	BTED active.BTEDParams
 	// XGB configures the cost model; zero value = surrogate defaults.
 	XGB xgb.Params
-	// SA configures the model optimizer; zero value = package defaults.
-	SA sa.Options
 	// Epsilon is the random-exploration fraction per batch (default 0.05).
 	Epsilon float64
 	// RankObjective trains the cost model with the pairwise rank loss
@@ -65,18 +63,6 @@ func (t *ModelTuner) Name() string {
 		return "bted"
 	}
 	return "autotvm"
-}
-
-// saOptions resolves the SA configuration for one run: when the caller
-// opted into parallel chains without pinning a chain-worker cap, the
-// session's measurement worker count doubles as the cap — results stay
-// bit-identical for every value, so this only shapes scheduling.
-func (t *ModelTuner) saOptions(opts Options) sa.Options {
-	so := t.SA
-	if so.Chains > 1 && so.Workers <= 0 {
-		so.Workers = opts.Workers
-	}
-	return so
 }
 
 func (t *ModelTuner) xgbParams() xgb.Params {
@@ -115,8 +101,8 @@ func (t *ModelTuner) Open(task *Task, b backend.Backend, opts Options, st *Sessi
 		return nil, err
 	}
 	// The SA objective is pooled across rounds: the space never changes
-	// within a session, so each round's retrained surrogate is compiled
-	// into the previous round's buffers (resetSAObjective rebuilds every
+	// within a session, so each round's retrained surrogate is indexed into
+	// the previous round's buffers (resetSAObjective rebuilds every
 	// model-derived field, keeping rounds independent bit-for-bit).
 	var saObj *saObjective
 	step := func(ctx context.Context) bool {
@@ -146,11 +132,11 @@ func (t *ModelTuner) Open(task *Task, b backend.Backend, opts Options, st *Sessi
 		selectDone := opts.Phases.track(PhaseCandidateSelection)
 		var cands []space.Config
 		if model != nil {
-			// Compiled SoA surrogate + delta-encoded feature rows: scores
+			// Delta-encoded feature rows over the flat surrogate: scores
 			// are bit-identical to model.Predict(c.Features()) per
 			// candidate, so the sample stream matches the naive objective.
 			saObj = resetSAObjective(saObj, model, task.Space)
-			cands = sa.FindMaximaDelta(task.Space, saObj, opts.PlanSize, s.visited, t.saOptions(opts), rng)
+			cands = sa.FindMaxima(task.Space, saObj, opts.PlanSize, s.visited, rng)
 		}
 		// Epsilon-greedy exploration plus padding when SA under-delivers.
 		// The batch is planned serially (all RNG draws happen here), then

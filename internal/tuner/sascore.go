@@ -3,14 +3,12 @@ package tuner
 import (
 	"fmt"
 
-	"repro/internal/sa"
 	"repro/internal/space"
 	"repro/internal/xgb"
 )
 
-// saObjective is the incremental SA objective of the model-based tuners: a
-// compiled SoA view of the trained surrogate plus delta-encoded feature
-// rows.
+// saObjective is the incremental SA objective of the model-based tuners:
+// the trained surrogate's flat ensemble plus delta-encoded feature rows.
 //
 // It exploits three structural facts. First, knob features are independent:
 // Config.Features() is the concatenation of per-knob spans, and each span
@@ -32,10 +30,10 @@ import (
 // model.Predict(config.Features()): patched spans hold the same float64s
 // the encoder would produce, cached tree contributions are the same leaf
 // values a fresh walk loads, and the final sum runs base + tree 0 + tree 1
-// + ... in the exact pointer-predictor order.
+// + ... in the exact order of Model.Predict.
 type saObjective struct {
-	// Shared, read-only after construction (chains Fork() onto them).
-	cm        *xgb.CompiledModel
+	// Read-only after construction.
+	m         *xgb.Model
 	sp        *space.Space
 	dim       int
 	nk        int
@@ -44,7 +42,7 @@ type saObjective struct {
 	knobTrees [][]int32   // per knob: trees whose splits read its span
 	knobSig   [][]uint64  // per knob: option-major split signatures per tree slot (nil: ungateable, walk all)
 
-	// Per-chain walker state, sized by InitBatch.
+	// Walker state, sized by InitBatch.
 	curOpt   []int32   // walkers x nk current option indices
 	cur      []float64 // walkers x dim current rows (patched during scoring)
 	curTree  []float64 // walkers x ntrees cached tree contributions
@@ -72,8 +70,8 @@ type saObjective struct {
 	spanSave []float64 // walkers x maxSpan: span values while rows are patched
 }
 
-// newSAObjective compiles the trained surrogate and precomputes the
-// per-knob feature tables, knob-to-trees index, and split signatures for sp.
+// newSAObjective precomputes the per-knob feature tables, knob-to-trees
+// index, and split signatures of the trained surrogate over sp.
 func newSAObjective(model *xgb.Model, sp *space.Space) *saObjective {
 	return resetSAObjective(nil, model, sp)
 }
@@ -86,21 +84,9 @@ func newSAObjective(model *xgb.Model, sp *space.Space) *saObjective {
 // scratch; passing an objective built over a different space also falls
 // back to scratch.
 func resetSAObjective(o *saObjective, model *xgb.Model, sp *space.Space) *saObjective {
-	// Compile into the shared arena, then retire the previous round's
-	// compiled form. Order matters: releasing first would let the pool hand
-	// the old arrays straight back while we still read o.cm below. Forks
-	// share o.cm only within a round, and resets happen strictly between
-	// rounds, so by the time the old model is released nothing reads it —
-	// and across sessions the arena lets a fleet daemon reuse one set of
-	// buffers instead of allocating per session per round.
-	cm := model.CompilePooled()
-	if cm.NumFeatures() != sp.FeatureDim() {
+	if model.NumFeatures() != sp.FeatureDim() {
 		//lint:ignore panicpath trainModel only ever fits on rows encoded from this space, so a width mismatch is a programming error
-		panic(fmt.Sprintf("tuner: surrogate trained on %d features, space encodes %d", cm.NumFeatures(), sp.FeatureDim()))
-	}
-	if o != nil {
-		o.cm.Release()
-		o.cm = nil
+		panic(fmt.Sprintf("tuner: surrogate trained on %d features, space encodes %d", model.NumFeatures(), sp.FeatureDim()))
 	}
 	n := sp.NumKnobs()
 	if o == nil || o.sp != sp {
@@ -131,25 +117,25 @@ func resetSAObjective(o *saObjective, model *xgb.Model, sp *space.Space) *saObje
 		o.offs[n] = off
 		o.maxSpan = maxSpan
 	}
-	o.cm = cm
+	o.m = model
 	for k := 0; k < n; k++ {
 		off, kd := o.offs[k], o.offs[k+1]-o.offs[k]
 		nopts := sp.Knob(k).Len()
 		trees := o.knobTrees[k][:0]
 		gateable := true
-		for _, t := range cm.TreesTouching(off, off+kd) {
+		for _, t := range model.TreesTouching(off, off+kd) {
 			trees = append(trees, int32(t))
 			// A tree with more than 64 nodes folds path-mask ordinals, so
 			// the signature gate is unsound for it: the knob degrades to
 			// walking every touching tree. (Trees of the tuner's depth
 			// never hit this.)
-			if cm.TreeNodeCount(t) > 64 {
+			if model.TreeNodeCount(t) > 64 {
 				gateable = false
 			}
 		}
 		o.knobTrees[k] = trees
 		if gateable {
-			o.knobSig[k] = knobOptionSigs(cm, trees, o.table[k], off, kd, nopts, grow(o.knobSig[k], len(trees)*nopts))
+			o.knobSig[k] = knobOptionSigs(model, trees, o.table[k], off, kd, nopts, grow(o.knobSig[k], len(trees)*nopts))
 		} else {
 			o.knobSig[k] = nil
 		}
@@ -168,7 +154,7 @@ func grow[T int32 | int64 | uint64 | float64](buf []T, n int) []T {
 
 // knobOptionSigs packs, per touching tree and option, the outcome of every
 // split of the tree that reads the knob's span into a uint64 signature: bit
-// ord (the split node's ordinal, PredictTreePath's bit position for it) is
+// ord (the split node's ordinal, PredictPairsPath's bit position for it) is
 // set iff the option's encoding satisfies the split's <=. Two options whose
 // signatures agree on every bit of a cached path mask are provably routed
 // down the identical path by that tree — the cached leaf value and mask
@@ -176,11 +162,11 @@ func grow[T int32 | int64 | uint64 | float64](buf []T, n int) []T {
 // [opt*len(trees), (opt+1)*len(trees)), so the gate XORs two contiguous
 // rows. Callers must only pass trees whose node count fits 64 bits, and
 // sig must have len(trees)*nopts elements (it is cleared and filled here).
-func knobOptionSigs(cm *xgb.CompiledModel, trees []int32, tab []float64, off, kd, nopts int, sig []uint64) []uint64 {
+func knobOptionSigs(m *xgb.Model, trees []int32, tab []float64, off, kd, nopts int, sig []uint64) []uint64 {
 	ntl := len(trees)
 	clear(sig)
 	for ji, t := range trees {
-		cm.TreeSplits(int(t), func(ord, f int, th float64) {
+		m.TreeSplits(int(t), func(ord, f int, th float64) {
 			if f < off || f >= off+kd {
 				return
 			}
@@ -193,17 +179,6 @@ func knobOptionSigs(cm *xgb.CompiledModel, trees []int32, tab []float64, off, kd
 		})
 	}
 	return sig
-}
-
-// Fork implements sa.DeltaObjective: a fresh per-chain instance sharing
-// the compiled model and tables.
-func (o *saObjective) Fork() sa.DeltaObjective {
-	return &saObjective{
-		cm: o.cm, sp: o.sp, dim: o.dim, nk: o.nk,
-		offs: o.offs, table: o.table, knobTrees: o.knobTrees,
-		knobSig: o.knobSig,
-		maxSpan: o.maxSpan,
-	}
 }
 
 // encode writes c's feature row into dst from the per-knob tables —
@@ -223,8 +198,8 @@ func (o *saObjective) encode(dst []float64, c space.Config) {
 // fold up in exact tree order.
 func (o *saObjective) InitBatch(points []space.Config) []float64 {
 	w := len(points)
-	nt := o.cm.NumTrees()
-	base := o.cm.Base()
+	nt := o.m.NumTrees()
+	base := o.m.Base()
 	// Every buffer is fully overwritten below or written before read in the
 	// propose/commit cycle, so reusing a previous round's allocations (via
 	// resetSAObjective pooling) cannot leak stale state.
@@ -259,7 +234,7 @@ func (o *saObjective) InitBatch(points []space.Config) []float64 {
 	}
 	// The item order matches the walker-major cache layout, so the kernel
 	// writes curTree and curPath in place.
-	o.cm.PredictPairsPath(o.witems[:n], o.cur, o.curTree, o.curPath)
+	o.m.PredictPairsPath(o.witems[:n], o.cur, o.curTree, o.curPath)
 	for i := 0; i < w; i++ {
 		s := base
 		for t := 0; t < nt; t++ {
@@ -286,8 +261,8 @@ func (o *saObjective) InitBatch(points []space.Config) []float64 {
 // returns the cached score as-is — the sum of identical addends is the
 // identical float64.
 func (o *saObjective) ProposeBatch(proposals []space.Config, changed []int) []float64 {
-	nt := o.cm.NumTrees()
-	base := o.cm.Base()
+	nt := o.m.NumTrees()
+	base := o.m.Base()
 	wn := 0
 	for i := range proposals {
 		ki := changed[i]
@@ -345,7 +320,7 @@ func (o *saObjective) ProposeBatch(proposals []space.Config, changed []int) []fl
 		o.pendKnob[i] = int32(ki)
 		o.pendOpt[i] = int32(opt)
 	}
-	o.cm.PredictPairsPath(o.witems[:wn], o.cur, o.wval[:wn], o.wmask[:wn])
+	o.m.PredictPairsPath(o.witems[:wn], o.cur, o.wval[:wn], o.wmask[:wn])
 	// Revert the row patches and collect the proposals that still need a
 	// full sum; a proposal whose every touching tree was gated out keeps
 	// the cached sum, bit for bit.
@@ -427,7 +402,7 @@ func (o *saObjective) Commit(i int) {
 	if ki < 0 {
 		return
 	}
-	nt := o.cm.NumTrees()
+	nt := o.m.NumTrees()
 	lo := o.offs[ki]
 	kd := o.offs[ki+1] - lo
 	opt := int(o.pendOpt[i])

@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkSACandidateSelection measures one candidate-selection round as
-// the tuner runs it: compile the retrained surrogate into the session's
-// pooled objective, run the delta-encoded SA argmax (default options:
-// 96 walkers x 120 iters), drain the top-k.
+// the tuner runs it: index the retrained surrogate into the session's
+// pooled objective, run the delta-encoded SA argmax (96 walkers x 120
+// iters), drain the top-k.
 func BenchmarkSACandidateSelection(b *testing.B) {
 	task, err := NewTask("bench.conv", tensor.Conv2D(1, 32, 28, 28, 64, 3, 1, 1))
 	if err != nil {
@@ -23,6 +23,6 @@ func BenchmarkSACandidateSelection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obj = resetSAObjective(obj, model, task.Space)
-		sa.FindMaximaDelta(task.Space, obj, 24, nil, sa.Options{}, rand.New(rand.NewSource(int64(i))))
+		sa.FindMaxima(task.Space, obj, 24, nil, rand.New(rand.NewSource(int64(i))))
 	}
 }

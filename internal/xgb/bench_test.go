@@ -46,9 +46,9 @@ func BenchmarkXGBTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkXGBPredictBatch scores an SA candidate pool through a trained
-// ensemble.
-func BenchmarkXGBPredictBatch(b *testing.B) {
+// BenchmarkPredict scores a candidate pool one row at a time, the way
+// BAO's bootstrap ensemble scores its neighborhood candidates.
+func BenchmarkPredict(b *testing.B) {
 	X, y := benchData(512, 12, 2)
 	m, err := Train(X, y, benchParams())
 	if err != nil {
@@ -57,47 +57,14 @@ func BenchmarkXGBPredictBatch(b *testing.B) {
 	pool, _ := benchData(2048, 12, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
+	s := 0.0
 	for i := 0; i < b.N; i++ {
-		m.PredictBatch(pool)
+		for _, x := range pool {
+			s += m.Predict(x)
+		}
 	}
+	predictSink = s
 }
 
-// BenchmarkCompiledPredictBatch scores the same pool through the flat SoA
-// layout — the apples-to-apples comparison against BenchmarkXGBPredictBatch.
-func BenchmarkCompiledPredictBatch(b *testing.B) {
-	X, y := benchData(512, 12, 2)
-	m, err := Train(X, y, benchParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := m.Compile()
-	pool, _ := benchData(2048, 12, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.PredictBatch(pool)
-	}
-}
-
-// BenchmarkCompiledPredictRows drops the [][]float64 packing overhead and
-// measures the pure SoA tile walk over pre-flattened rows — the form the SA
-// delta objective feeds.
-func BenchmarkCompiledPredictRows(b *testing.B) {
-	X, y := benchData(512, 12, 2)
-	m, err := Train(X, y, benchParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := m.Compile()
-	pool, _ := benchData(2048, 12, 3)
-	flat := make([]float64, len(pool)*c.NumFeatures())
-	for i, row := range pool {
-		copy(flat[i*c.NumFeatures():], row)
-	}
-	out := make([]float64, len(pool))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.PredictRows(flat, out)
-	}
-}
+// predictSink keeps BenchmarkPredict's calls from being optimized away.
+var predictSink float64

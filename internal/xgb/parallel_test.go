@@ -14,7 +14,16 @@ func trainPreds(t *testing.T, X [][]float64, y []float64, p Params, workers int)
 	if err != nil {
 		t.Fatalf("Train(workers=%d): %v", workers, err)
 	}
-	return m, m.PredictBatchParallel(X, 1)
+	return m, predictAll(m, X)
+}
+
+// predictAll scores every row of X with Predict.
+func predictAll(m *Model, X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	for i, x := range X {
+		out[i] = m.Predict(x)
+	}
+	return out
 }
 
 // TestXGBTrainWorkerCountInvariance pins the bit-identity contract of the
@@ -74,36 +83,12 @@ func TestXGBLeafDeltaMatchesPredict(t *testing.T) {
 		cols[i] = i
 	}
 	ws := newTreeScratch(n, len(cols), p.MaxBins)
-	tr := growTree(b, grad, hess, rows, cols, p, ws, 1)
+	m := &Model{nfeat: len(cols), off: []int32{0}}
+	growTree(m, b, grad, hess, rows, cols, p, ws, 1)
 	for i := range X {
-		want := tr.predict(X[i])
+		want := m.leafWalk(0, X[i])
 		if math.Float64bits(ws.leaf[i]) != math.Float64bits(want) {
 			t.Fatalf("row %d: leaf delta %x, predict %x", i, math.Float64bits(ws.leaf[i]), math.Float64bits(want))
-		}
-	}
-}
-
-// TestXGBPredictBatchWorkerCountInvariance checks that the sharded batch
-// prediction matches per-row Predict bit-for-bit for every worker count.
-func TestXGBPredictBatchWorkerCountInvariance(t *testing.T) {
-	X, y := benchData(600, 9, 3)
-	p := DefaultParams()
-	p.NumRounds = 10
-	m, err := Train(X, y, p)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	ref := make([]float64, len(X))
-	for i, x := range X {
-		ref[i] = m.Predict(x)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		got := m.PredictBatchParallel(X, workers)
-		for i := range ref {
-			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("workers=%d: out[%d]=%x, want %x",
-					workers, i, math.Float64bits(got[i]), math.Float64bits(ref[i]))
-			}
 		}
 	}
 }

@@ -39,7 +39,7 @@ func TestRankObjectiveLearnsOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	XT, yT := makeRegression(200, 5, 0.0, 22)
-	tau := kendallTau(m.PredictBatch(XT), yT)
+	tau := kendallTau(predictAll(m, XT), yT)
 	if tau < 0.55 {
 		t.Fatalf("rank model Kendall tau %.3f too low", tau)
 	}
@@ -64,8 +64,8 @@ func TestRankObjectiveScaleInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := m1.PredictBatch(X)
-	p2 := m2.PredictBatch(X)
+	p1 := predictAll(m1, X)
+	p2 := predictAll(m2, X)
 	if tau := kendallTau(p1, p2); tau < 0.999 {
 		t.Fatalf("scaled targets changed the ordering: tau %.4f", tau)
 	}
@@ -85,7 +85,7 @@ func TestRankObjectiveTiedTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range m.PredictBatch(X) {
+	for _, v := range predictAll(m, X) {
 		if v != v {
 			t.Fatal("NaN prediction on tied targets")
 		}
@@ -142,8 +142,8 @@ func TestRankBeatsRegressionOnSkewedTargets(t *testing.T) {
 		XT[i] = x
 		yT[i] = x[0] + 0.5*x[1]
 	}
-	tauRank := kendallTau(rankM.PredictBatch(XT), yT)
-	tauReg := kendallTau(regM.PredictBatch(XT), yT)
+	tauRank := kendallTau(predictAll(rankM, XT), yT)
+	tauReg := kendallTau(predictAll(regM, XT), yT)
 	if tauRank <= tauReg {
 		t.Fatalf("rank tau %.3f should beat regression tau %.3f on skewed targets", tauRank, tauReg)
 	}
@@ -178,7 +178,7 @@ func TestRankPredictionsCorrelateWithSortOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := m.PredictBatch(X)
+	pred := predictAll(m, X)
 	idx := make([]int, len(y))
 	for i := range idx {
 		idx[i] = i

@@ -153,14 +153,22 @@ func newTreeScratch(n, nfeat, maxBins int) *treeScratch {
 // strict greater-than — the same (feature, bin) the one-loop serial scan
 // selects, including every tie-break, for any worker count.
 //
+// The tree is appended to m's flat arrays as it grows: each node takes the
+// next index when it is created, a leaf until a split overwrites it, so
+// parents precede their children. Leaves loop to themselves, split nodes
+// set their feature's bit in the tree's mask, and the tree's walk length is
+// the depth of its deepest leaf.
+//
 // As rows settle into terminal leaves, ws.leaf[r] records the leaf weight:
 // the bin-comparison partition (bins[r][f] <= bin) is exactly the threshold
 // traversal (x[f] <= edges[f][bin]), because binIndex returns the smallest
 // bin whose upper edge is >= x[f]. Train uses this to update predictions
 // without re-walking the tree.
-func growTree(b *binner, grad, hess []float64, rows []int32, cols []int, p Params, ws *treeScratch, workers int) tree {
+func growTree(m *Model, b *binner, grad, hess []float64, rows []int32, cols []int, p Params, ws *treeScratch, workers int) {
 	maxBins := p.MaxBins
-	t := tree{}
+	maskOff := len(m.fmask)
+	m.fmask = append(m.fmask, make([]uint64, m.maskWords())...)
+	steps := int32(0)
 	// Features with < 2 bins can never split (the old per-feature guard);
 	// dropping them here keeps the hot fill loops branch-free.
 	active := ws.active[:0]
@@ -169,23 +177,27 @@ func growTree(b *binner, grad, hess []float64, rows []int32, cols []int, p Param
 			active = append(active, f)
 		}
 	}
-	var build func(rows []int32, depth int) int32
-	build = func(rows []int32, depth int) int32 {
+	var build func(rows []int32, depth int32) int32
+	build = func(rows []int32, depth int32) int32 {
 		var G, H float64
 		for _, r := range rows {
 			G += grad[r]
 			H += hess[r]
 		}
 		leafValue := -G / (H + p.Lambda) * p.Eta
-		id := int32(len(t.nodes))
-		t.nodes = append(t.nodes, treeNode{feature: -1, value: leafValue})
+		id := int32(len(m.nodes))
+		m.nodes = append(m.nodes, cnode{left: id, right: id})
+		m.value = append(m.value, leafValue)
 		asLeaf := func() int32 {
 			for _, r := range rows {
 				ws.leaf[r] = leafValue
 			}
+			if depth > steps {
+				steps = depth
+			}
 			return id
 		}
-		if depth >= p.MaxDepth || len(rows) < 2 || len(active) == 0 {
+		if int(depth) >= p.MaxDepth || len(rows) < 2 || len(active) == 0 {
 			return asLeaf()
 		}
 
@@ -287,9 +299,12 @@ func growTree(b *binner, grad, hess []float64, rows []int32, cols []int, p Param
 		copy(rows[nl:], ws.part[:nr])
 		l := build(rows[:nl], depth+1)
 		r := build(rows[nl:], depth+1)
-		t.nodes[id] = treeNode{feature: bestFeat, threshold: threshold, left: l, right: r}
+		m.nodes[id] = cnode{thresh: threshold, feat: int32(bestFeat), left: l, right: r}
+		m.value[id] = 0
+		m.fmask[maskOff+bestFeat>>6] |= 1 << (uint(bestFeat) & 63)
 		return id
 	}
 	build(rows, 0)
-	return t
+	m.off = append(m.off, int32(len(m.nodes)))
+	m.steps = append(m.steps, steps)
 }

@@ -104,86 +104,6 @@ func (p Params) validate() error {
 	return nil
 }
 
-// treeNode is one node of a regression tree in a flat array layout.
-type treeNode struct {
-	feature   int     // split feature; -1 for leaves
-	threshold float64 // go left when x[feature] <= threshold
-	left      int32
-	right     int32
-	value     float64 // leaf weight
-}
-
-type tree struct{ nodes []treeNode }
-
-func (t *tree) predict(x []float64) float64 {
-	i := int32(0)
-	for {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return n.value
-		}
-		if x[n.feature] <= n.threshold {
-			i = n.left
-		} else {
-			i = n.right
-		}
-	}
-}
-
-// Model is a trained boosted ensemble.
-type Model struct {
-	params Params
-	base   float64
-	trees  []tree
-	nfeat  int
-}
-
-// NumTrees returns the ensemble size.
-func (m *Model) NumTrees() int { return len(m.trees) }
-
-// NumFeatures returns the feature dimensionality seen at training.
-func (m *Model) NumFeatures() int { return m.nfeat }
-
-// Predict evaluates the ensemble on one feature vector.
-func (m *Model) Predict(x []float64) float64 {
-	if len(x) != m.nfeat {
-		//lint:ignore panicpath model invariant: feature-width mismatch means the caller mixed models, not a runtime condition
-		panic(fmt.Sprintf("xgb: predict with %d features, model trained on %d", len(x), m.nfeat))
-	}
-	s := m.base
-	for i := range m.trees {
-		s += m.trees[i].predict(x)
-	}
-	return s
-}
-
-// PredictBatch evaluates the ensemble on each row of X.
-func (m *Model) PredictBatch(X [][]float64) []float64 {
-	return m.PredictBatchParallel(X, par.Workers())
-}
-
-// PredictBatchParallel is PredictBatch sharded over fixed-size row blocks.
-// Each output element depends only on its own row, so the result is
-// bit-identical for any worker count.
-func (m *Model) PredictBatchParallel(X [][]float64, workers int) []float64 {
-	out := make([]float64, len(X))
-	n := len(X)
-	if n*len(m.trees) < xgbParallelMinWork {
-		workers = 1
-	}
-	blocks := (n + xgbRowBlock - 1) / xgbRowBlock
-	par.For(blocks, workers, func(bk int) {
-		lo, hi := bk*xgbRowBlock, (bk+1)*xgbRowBlock
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			out[i] = m.Predict(X[i])
-		}
-	})
-	return out
-}
-
 // Train fits a boosted ensemble to (X, y) with squared-error loss.
 func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	if err := p.validate(); err != nil {
@@ -217,7 +137,7 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	}
 	b := newBinner(X, p.MaxBins, workers)
 	rng := rand.New(rand.NewSource(p.Seed))
-	m := &Model{params: p, base: base, nfeat: nfeat}
+	m := &Model{base: base, nfeat: nfeat, off: []int32{0}}
 
 	pred := make([]float64, n)
 	for i := range pred {
@@ -244,25 +164,25 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 		}
 		rows := sampleRows(n, p.Subsample, rng)
 		cols := sampleCols(nfeat, p.ColSample, rng)
-		tr := growTree(b, grad, hess, rows, cols, p, ws, workers)
-		m.trees = append(m.trees, tr)
+		growTree(m, b, grad, hess, rows, cols, p, ws, workers)
 		if p.Subsample >= 1 {
 			// Every row took part in the build, so ws.leaf already holds
-			// tr.predict(X[i]) for each row (the bin-comparison partition is
-			// exactly the threshold traversal — see growTree).
+			// the new tree's leaf value for each row (the bin-comparison
+			// partition is exactly the threshold traversal — see growTree).
 			for i := range pred {
 				pred[i] += ws.leaf[i]
 			}
 		} else {
-			// Per-row independent update over fixed blocks: bit-identical
-			// for any worker count.
+			// Per-row independent walks of the new tree over fixed blocks:
+			// bit-identical for any worker count.
+			t := m.NumTrees() - 1
 			par.For(predBlocks, predWorkers, func(bk int) {
 				lo, hi := bk*xgbRowBlock, (bk+1)*xgbRowBlock
 				if hi > n {
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					pred[i] += tr.predict(X[i])
+					pred[i] += m.predictTree(t, X[i])
 				}
 			})
 		}

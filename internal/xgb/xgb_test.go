@@ -55,13 +55,13 @@ func TestTrainLearnsNonlinearFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainMSE := mse(m.PredictBatch(X), y)
+	trainMSE := mse(predictAll(m, X), y)
 	if trainMSE > 0.1*variance(y) {
 		t.Fatalf("train MSE %.4f too high (var %.4f)", trainMSE, variance(y))
 	}
 	// Generalization on a fresh draw of the same function.
 	XT, yT := makeRegression(400, 6, 0.05, 2)
-	testMSE := mse(m.PredictBatch(XT), yT)
+	testMSE := mse(predictAll(m, XT), yT)
 	if testMSE > 0.3*variance(yT) {
 		t.Fatalf("test MSE %.4f too high (var %.4f)", testMSE, variance(yT))
 	}
@@ -77,7 +77,7 @@ func TestTrainConstantTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range m.PredictBatch(X) {
+	for _, p := range predictAll(m, X) {
 		if math.Abs(p-7.5) > 1e-6 {
 			t.Fatalf("constant target predicted as %v", p)
 		}
@@ -203,7 +203,7 @@ func TestMoreRoundsReduceTrainError(t *testing.T) {
 	m5, _ := Train(X, y, p)
 	p.NumRounds = 60
 	m60, _ := Train(X, y, p)
-	if mse(m60.PredictBatch(X), y) >= mse(m5.PredictBatch(X), y) {
+	if mse(predictAll(m60, X), y) >= mse(predictAll(m5, X), y) {
 		t.Fatal("more boosting rounds should fit train data better")
 	}
 	if m60.NumTrees() != 60 || m5.NumTrees() != 5 {
@@ -220,8 +220,8 @@ func TestGammaPrunesSplits(t *testing.T) {
 	strict, _ := Train(X, y, p)
 	count := func(m *Model) int {
 		n := 0
-		for _, tr := range m.trees {
-			n += len(tr.nodes)
+		for tr := 0; tr < m.NumTrees(); tr++ {
+			n += m.TreeNodeCount(tr)
 		}
 		return n
 	}
@@ -335,17 +335,5 @@ func BenchmarkTrain600x18(b *testing.B) {
 		if _, err := Train(X, y, p); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkPredict(b *testing.B) {
-	X, y := makeRegression(600, 18, 0.05, 13)
-	m, err := Train(X, y, DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(X[i%len(X)])
 	}
 }
