@@ -11,10 +11,11 @@ test:
 	$(GO) test ./...
 
 # The race-detector pass: every test of every package with concurrent
-# machinery or a determinism contract, run once under -race so scheduling
-# varies. It covers the concurrent measurement types (hwsim.Simulator,
-# transfer.History, the tuner worker pool, par, the shared measurement
-# cache), parallel bootstrap training and Gram assembly, and the job
+# machinery or a determinism contract, run under -race so scheduling
+# varies. -count=1 bypasses the test cache, so every package runs each
+# time instead of reporting (cached) from an earlier pass. It covers the
+# concurrent measurement types (hwsim.Simulator, transfer.History, the
+# tuner worker pool, par, the shared measurement cache), parallel bootstrap training and Gram assembly, and the job
 # manager's record fan-out and the daemon's SSE subscribers;
 # and the determinism suite: same seed, Workers 1/4/8 must yield
 # bit-identical samples for every tuner, a cancelled or deadline-expired
@@ -25,8 +26,9 @@ test:
 # byte-identical to an uncached run, the kernel-level TED/mat-vec/Cholesky,
 # xgb training (binning, split search, prediction updates) and GP kernel
 # builds must be bit-identical for any worker count, BAO's sampled
-# neighborhood must take exactly the RNG draws of a full walk of every
-# trial (space), and
+# neighborhood, whose trials are walked in parallel chunks, must take
+# exactly the RNG draws of a serial full walk of every trial and return
+# the same configs at worker counts 1, 2 and 4 (space), and
 # snapshot -> restore -> continue must be bit-identical for every tuner,
 # for the scheduler, and for the crash-resume rehearsals of the whole job
 # lifecycle: cmd/tune killed at a checkpoint boundary (sequential,
@@ -39,7 +41,7 @@ test:
 # minutes under -race on a 2-CPU host, close to go test's 10-minute
 # default.
 determinism:
-	$(GO) test -race -timeout 30m \
+	$(GO) test -race -count=1 -timeout 30m \
 		./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/snap ./internal/rng ./internal/space ./internal/job ./internal/serve ./internal/repro ./cmd/tune ./cmd/served
 
 # Benchmark smoke pass: every committed benchmark must still compile and

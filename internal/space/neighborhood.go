@@ -3,6 +3,8 @@ package space
 import (
 	"math"
 	"math/rand"
+
+	"repro/internal/par"
 )
 
 // NeighborhoodOpts tunes Neighborhood enumeration.
@@ -33,11 +35,14 @@ const DefaultMaxCandidates = 8192
 // result order is deterministic for the enumerated case and rng-determined
 // for the sampled case.
 //
-// The sampled case rejects a trial at its first coordinate outside the
-// knob's range, without walking the rest of its offset, yet consumes
-// exactly the rng draws that walking every trial in full takes. The draw
-// count is part of the contract: tuner snapshots restore an rng by
-// replaying its counted draws, and the golden stream hashes pin it.
+// The sampled case draws each chunk of trials' raw rng values serially,
+// walks the chunk on par.Workers() goroutines, rejecting a trial at its
+// first coordinate outside the knob's range, and folds the accepted
+// trials serially in trial order (see sampleBall). It consumes exactly
+// the rng draws that walking every trial in full takes, and returns the
+// same configs in the same order at any GOMAXPROCS. The draw count is
+// part of the contract: tuner snapshots restore an rng by replaying its
+// counted draws, and the golden stream hashes pin it.
 func (s *Space) Neighborhood(center Config, radius float64, opts NeighborhoodOpts, rng *rand.Rand) []Config {
 	if radius <= 0 {
 		return nil
@@ -60,7 +65,7 @@ func (s *Space) Neighborhood(center Config, radius float64, opts NeighborhoodOpt
 	if ballSize <= enumLimit {
 		return s.enumerateBall(center, r2, maxCand, opts.Exclude)
 	}
-	return s.sampleBall(center, radius, maxCand, opts.Exclude, rng)
+	return s.sampleBall(center, radius, maxCand, opts.Exclude, rng, par.Workers())
 }
 
 // latticeBallCount counts integer lattice points within squared distance r2
@@ -159,18 +164,35 @@ func (s *Space) enumerateBall(center Config, r2 float64, maxCand int, exclude ma
 	return out
 }
 
+// walkBlock is the number of buffered trials one par.For index walks.
+const walkBlock = 256
+
 // sampleBall draws offsets exactly uniformly from the lattice ball via the
 // same norm-count dynamic program used by latticeBallCount, then rejects
 // only clamping violations, the zero offset, duplicates and excluded
 // configs. Sampling one offset is O(dim * radius), independent of the
 // ball volume.
 //
-// A trial is rejected at its first coordinate outside the knob's range,
-// before the rest of its offset is walked and before anything is
-// allocated; ballSampler.sampleIn still consumes the draws the rest of the
-// walk would have, so rng leaves every call in the state that drawing
-// every trial in full leaves it in, and the result is the same.
-func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude map[uint64]bool, rng *rand.Rand) []Config {
+// The trials run in chunks of three stages:
+//
+//  1. Serial draw: the raw rng.Int63 values of the chunk's trials are
+//     drawn into a buffer in order, dim per trial, stopping at the first
+//     raw value above the ball's one-draw bound (see int63n).
+//  2. Parallel walk: the complete trials before that value are walked on
+//     par.For across workers; a trial is rejected at its first
+//     coordinate outside the knob's range. Each walk writes only its own
+//     trial's slots: ok[t], and the offset over its raw draws.
+//  3. Serial fold: the accepted trials pass the zero, duplicate and
+//     Exclude checks in trial order. A trial that drew a raw value above
+//     the bound is finished last, serially, with exact Int63n semantics.
+//
+// The rng stream is the one a serial full walk of every trial takes.
+// Every trial takes exactly dim raw draws unless one of them is above the
+// bound, and the fill stops there. A trial adds at most one config, so a
+// chunk of min(maxTrials-t, maxCand-len(out)) trials never draws past the
+// trial at which the serial loop would stop. The result and its order
+// are therefore the same for any worker count.
+func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude map[uint64]bool, rng *rand.Rand, workers int) []Config {
 	dim := len(s.knobs)
 	bs := newBallSampler(dim, radius)
 	// Knob i allows the offsets [lo[i], hi[i]] around the center.
@@ -185,31 +207,65 @@ func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude m
 	}
 	seen := make(map[uint64]bool, maxCand)
 	out := make([]Config, 0, maxCand)
-	// Rejections now come only from clamping at space edges, duplicates and
-	// the excluded set, so a modest trial budget suffices.
-	maxTrials := maxCand * 32
-	offset := make([]int, dim)
-	for t := 0; t < maxTrials && len(out) < maxCand; t++ {
-		if !bs.sampleIn(offset, lo, hi, rng) {
-			continue
-		}
+	fold := func(offset []int64) {
 		zero := true
 		var f uint64 // Config.Flat of center+offset
 		for i, k := range offset {
 			if k != 0 {
 				zero = false
 			}
-			f = f*radix[i] + uint64(center.Index[i]+k)
+			f = f*radix[i] + uint64(center.Index[i]+int(k))
 		}
 		if zero || seen[f] || (exclude != nil && exclude[f]) {
-			continue
+			return
 		}
 		seen[f] = true
 		idx := make([]int, dim)
 		for i, k := range offset {
-			idx[i] = center.Index[i] + k
+			idx[i] = center.Index[i] + int(k)
 		}
 		out = append(out, Config{space: s, Index: idx})
+	}
+	// Rejections now come only from clamping at space edges, duplicates and
+	// the excluded set, so a modest trial budget suffices.
+	maxTrials := maxCand * 32
+	// No chunk holds more than maxCand trials. buf holds a chunk's raw
+	// draws, dim per trial, and the walk turns them into offsets in place.
+	buf := make([]int64, maxCand*dim)
+	ok := make([]bool, maxCand)
+	safe := bs.safe
+	for t := 0; t < maxTrials && len(out) < maxCand; {
+		n := min(maxTrials-t, maxCand-len(out))
+		// Serial draw; filled ends at the index of a value above safe.
+		filled := n * dim
+		for j := range buf[:filled] {
+			v := rng.Int63()
+			buf[j] = v
+			if v > safe {
+				filled = j
+				break
+			}
+		}
+		whole := filled / dim
+		// Parallel walk of the complete trials.
+		par.For((whole+walkBlock-1)/walkBlock, workers, func(b int) {
+			from, to := b*walkBlock, min(whole, (b+1)*walkBlock)
+			bs.walk(buf[from*dim:to*dim], ok[from:to], lo, hi)
+		})
+		// Serial fold, in trial order.
+		for i := 0; i < whole; i++ {
+			if ok[i] {
+				fold(buf[i*dim : (i+1)*dim])
+			}
+		}
+		t += whole
+		if whole < n {
+			trial := buf[whole*dim : (whole+1)*dim]
+			if bs.finish(trial, filled-whole*dim, lo, hi, rng) {
+				fold(trial)
+			}
+			t++
+		}
 	}
 	return out
 }
@@ -226,8 +282,6 @@ type ballSampler struct {
 	// safe bounds the raw Int63 values that rng.Int63n accepts on the first
 	// draw for every total the sampler asks for (see int63n).
 	safe int64
-	// raw keeps the raw draws of a rejected trial's skipped coordinates.
-	raw []int64
 }
 
 func newBallSampler(dim int, radius float64) *ballSampler {
@@ -278,69 +332,81 @@ func newBallSampler(dim int, radius float64) *ballSampler {
 	return &ballSampler{
 		dim: dim, rInt: rInt, q: q, cum: cum,
 		safe: math.MaxInt64 - maxTotal,
-		raw:  make([]int64, dim),
 	}
 }
 
-// sampleIn draws one offset uniformly from the ball (including the origin;
-// callers filter the zero offset) and reports whether offset[i] lies in
-// [lo[i], hi[i]] for every i. It stops walking at the first coordinate
-// outside its range, leaving offset partly filled, and skips the rest of
-// the trial's draws with skip. Either way rng ends in the state that
-// drawing the whole offset leaves it in.
-func (b *ballSampler) sampleIn(offset, lo, hi []int, rng *rand.Rand) bool {
-	q := b.q
-	for i := 0; i < b.dim; i++ {
-		rem := b.dim - i - 1
-		k, left := b.pick(rem, q, b.int63n(rng, b.cum[rem+1][q]))
-		if k < lo[i] || k > hi[i] {
-			b.skip(i+1, left, rng)
-			return false
+// walk replaces the raw draws of len(ok) trials in buf, dim per trial and
+// each at most safe, with offsets drawn uniformly from the ball (including
+// the origin; callers filter the zero offset). ok[t] reports whether
+// trial t's offset lies in [lo[i], hi[i]] for every knob i. A raw value
+// <= safe is exactly one rng.Int63n draw whatever the coordinate's total
+// is. A trial stops at its first coordinate outside the range, leaving
+// its offset partly written; its remaining raw draws were taken all the
+// same.
+func (b *ballSampler) walk(buf []int64, ok []bool, lo, hi []int) {
+	dim, cum := len(lo), b.cum
+	hi = hi[:dim]
+	for t := range ok {
+		trial := buf[t*dim : (t+1)*dim]
+		q := b.q
+		in := true
+		for i, v := range trial {
+			rem := dim - i - 1
+			k, left := b.pick(rem, q, v%cum[rem+1][q])
+			if k < lo[i] || k > hi[i] {
+				in = false
+				break
+			}
+			trial[i] = int64(k)
+			q = left
 		}
-		offset[i] = k
+		ok[t] = in
+	}
+}
+
+// finish replaces the raw draws of a trial whose draw at coordinate last
+// is above safe with its offset: the coordinates before last keep their
+// raw draws, last completes rng.Int63n with finishInt63n, and the rest
+// draw with int63n, so rng takes exactly the draws a full walk of the
+// trial takes. Every coordinate is walked, in range or not, because each
+// total depends on the budget the coordinates before it leave. It reports
+// whether the whole offset is in range.
+func (b *ballSampler) finish(trial []int64, last int, lo, hi []int, rng *rand.Rand) bool {
+	q := b.q
+	in := true
+	for i := range trial {
+		rem := b.dim - i - 1
+		total := b.cum[rem+1][q]
+		var draw int64
+		switch {
+		case i < last:
+			draw = trial[i] % total
+		case i == last:
+			draw = finishInt63n(rng, total, trial[i])
+		default:
+			draw = b.int63n(rng, total)
+		}
+		k, left := b.pick(rem, q, draw)
+		if k < lo[i] || k > hi[i] {
+			in = false
+		}
+		trial[i] = int64(k)
 		q = left
 	}
-	return true
-}
-
-// skip consumes the draws that coordinates from..dim-1 of a trial take,
-// given the squared-norm budget q left after coordinate from-1, without
-// walking them. Every total a trial asks for is at most the ball's
-// size, so a raw value <= safe is exactly one Int63n draw whatever that
-// coordinate's total is. A raw value above safe needs the exact total:
-// the walk is replayed from the raw values kept so far, and the trial is
-// finished with exact Int63n semantics.
-func (b *ballSampler) skip(from, q int, rng *rand.Rand) {
-	for j := from; j < b.dim; j++ {
-		v := rng.Int63()
-		if v <= b.safe {
-			b.raw[j] = v
-			continue
-		}
-		for i := from; i < j; i++ {
-			rem := b.dim - i - 1
-			_, q = b.pick(rem, q, b.raw[i]%b.cum[rem+1][q])
-		}
-		rem := b.dim - j - 1
-		_, q = b.pick(rem, q, finishInt63n(rng, b.cum[rem+1][q], v))
-		for i := j + 1; i < b.dim; i++ {
-			rem := b.dim - i - 1
-			_, q = b.pick(rem, q, b.int63n(rng, b.cum[rem+1][q]))
-		}
-		return
-	}
+	return in
 }
 
 // pick maps draw, uniform in [0, cum[rem+1][q]), to the coordinate k whose
 // block of completions holds it, and returns k with the squared-norm
 // budget left for the remaining rem coordinates.
 func (b *ballSampler) pick(rem, q int, draw int64) (k, left int) {
+	row := b.cum[rem]
 	for k := -b.rInt; k <= b.rInt; k++ {
 		nn := q - k*k
 		if nn < 0 {
 			continue
 		}
-		w := b.cum[rem][nn]
+		w := row[nn]
 		if draw < w {
 			return k, nn
 		}

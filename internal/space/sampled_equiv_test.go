@@ -1,6 +1,7 @@
 package space
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,8 +10,9 @@ import (
 )
 
 // The full-walk sampler below draws every trial's whole offset with
-// rng.Int63n before checking it against the knob ranges. It is the
-// reference the early-exit sampleBall must match draw for draw.
+// rng.Int63n, one trial at a time, before checking it against the knob
+// ranges. It is the reference the chunked, parallel sampleBall must match
+// draw for draw at every worker count.
 
 // sample fills offset with a uniform draw from the ball (including the
 // origin; callers filter the zero offset).
@@ -45,13 +47,22 @@ func (b *ballSampler) sample(offset []int, rng *rand.Rand) {
 
 // sampleBallFullWalk draws every trial's offset in full, then rejects it.
 func (s *Space) sampleBallFullWalk(center Config, radius float64, maxCand int, exclude map[uint64]bool, rng *rand.Rand) []Config {
+	out, _ := s.fullWalkTrials(center, radius, maxCand, exclude, rng)
+	return out
+}
+
+// fullWalkTrials is sampleBallFullWalk that also returns, for every trial
+// it ran, the number of configs kept before that trial.
+func (s *Space) fullWalkTrials(center Config, radius float64, maxCand int, exclude map[uint64]bool, rng *rand.Rand) ([]Config, []int) {
 	dim := len(s.knobs)
 	bs := newBallSampler(dim, radius)
 	seen := make(map[uint64]bool, maxCand)
 	out := make([]Config, 0, maxCand)
+	var kept []int
 	maxTrials := maxCand * 32
 	offset := make([]int, dim)
 	for t := 0; t < maxTrials && len(out) < maxCand; t++ {
+		kept = append(kept, len(out))
 		bs.sample(offset, rng)
 		idx := make([]int, dim)
 		valid := true
@@ -77,6 +88,21 @@ func (s *Space) sampleBallFullWalk(center Config, radius float64, maxCand int, e
 		}
 		seen[f] = true
 		out = append(out, c)
+	}
+	return out, kept
+}
+
+// chunks returns the [start, end) trial ranges of the chunks sampleBall
+// cuts for a call whose rng never draws above the one-draw bound, from
+// the oracle's kept counts: a chunk starting at trial t holds
+// min(maxTrials-t, maxCand-kept[t]) trials.
+func (s *Space) chunks(center Config, radius float64, maxCand int, exclude map[uint64]bool, seed int64) [][2]int {
+	_, kept := s.fullWalkTrials(center, radius, maxCand, exclude, rand.New(rand.NewSource(seed)))
+	var out [][2]int
+	for t := 0; t < len(kept); {
+		n := min(maxCand*32-t, maxCand-kept[t])
+		out = append(out, [2]int{t, t + n})
+		t += n
 	}
 	return out
 }
@@ -118,26 +144,52 @@ func (s *scriptSource) Int63() int64 {
 
 func (s *scriptSource) Seed(seed int64) { s.base.Seed(seed) }
 
-// requireSameSample runs the full-walk oracle and sampleBall on two rngs
-// built by newSrc and requires the same configs and the same next draw. It
-// returns the number of configs.
+// posSource is a seeded source whose draws at the given positions (counted
+// from 0) are replaced.
+type posSource struct {
+	base rand.Source
+	at   map[int]int64
+	n    int
+}
+
+func (s *posSource) Int63() int64 {
+	v := s.base.Int63()
+	if r, ok := s.at[s.n]; ok {
+		v = r
+	}
+	s.n++
+	return v
+}
+
+func (s *posSource) Seed(seed int64) { s.base.Seed(seed) }
+
+// widths are the worker counts every sampleBall equivalence check runs at.
+var widths = []int{1, 2, 4}
+
+// requireSameSample runs the full-walk oracle and, at every worker count
+// in widths, sampleBall, each on an rng built by newSrc, and requires the
+// same configs and the same next draw. It returns the number of configs.
 func requireSameSample(t *testing.T, name string, s *Space, center Config, radius float64, maxCand int, exclude map[uint64]bool, newSrc func() rand.Source) int {
 	t.Helper()
-	oracleRng, rng := rand.New(newSrc()), rand.New(newSrc())
+	oracleRng := rand.New(newSrc())
 	want := s.sampleBallFullWalk(center, radius, maxCand, exclude, oracleRng)
-	got := s.sampleBall(center, radius, maxCand, exclude, rng)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d configs, full walk %d", name, len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) || got[i].space != s {
-			t.Fatalf("%s: config %d is %v, full walk %v", name, i, got[i].Index, want[i].Index)
+	wantNext := oracleRng.Int63()
+	for _, w := range widths {
+		rng := rand.New(newSrc())
+		got := s.sampleBall(center, radius, maxCand, exclude, rng, w)
+		if len(got) != len(want) {
+			t.Fatalf("%s, %d workers: %d configs, full walk %d", name, w, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) || got[i].space != s {
+				t.Fatalf("%s, %d workers: config %d is %v, full walk %v", name, w, i, got[i].Index, want[i].Index)
+			}
+		}
+		if g := rng.Int63(); g != wantNext {
+			t.Fatalf("%s, %d workers: next draw %d, full walk %d: the draw counts differ", name, w, g, wantNext)
 		}
 	}
-	if g, w := rng.Int63(), oracleRng.Int63(); g != w {
-		t.Fatalf("%s: next draw %d, full walk %d: the draw counts differ", name, g, w)
-	}
-	return len(got)
+	return len(want)
 }
 
 type namedCenter struct {
@@ -219,10 +271,13 @@ func TestSampleBallMatchesFullWalkMobileNet(t *testing.T) {
 					ex = excludeSome(s, center, radius)
 				}
 				// A cap of 16 ends most calls on len(out); 128 mostly on
-				// the trial budget.
+				// the trial budget; 1024 walks chunks of several blocks.
 				maxCand := 16
 				if n%3 == 0 {
 					maxCand = 128
+				}
+				if n%7 == 0 {
+					maxCand = 1024
 				}
 				name := task.Name + "/" + nc.name
 				if requireSameSample(t, name, s, center, radius, maxCand, ex, seeded(seed)) == maxCand {
@@ -244,6 +299,7 @@ func TestSampleBallMatchesFullWalkMobileNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	center := testCenters(s, rng)[4].c // middle
+	requireSameSample(t, "cap-2048", s, center, 4.5, 2048, nil, seeded(3))
 	want := s.sampleBallFullWalk(center, 4.5, 2048, nil, rand.New(rand.NewSource(3)))
 	got := s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: 2048}, rand.New(rand.NewSource(3)))
 	if len(got) != len(want) {
@@ -373,4 +429,79 @@ func TestSampleBallScriptedDraws(t *testing.T) {
 		return &scriptSource{script: []int64{top, top, 0, top}, base: rand.NewSource(9)}
 	}
 	requireSameSample(t, "radius-0.5", s, center, 0.5, 8, nil, one)
+}
+
+// wideSpace has eight Len-12 knobs: around its middle center every offset
+// of the radius-4.5 ball is in range, so nearly every trial is kept.
+func wideSpace() (*Space, Config) {
+	knobs := make([]Knob, 8)
+	idx := make([]int, 8)
+	for i := range knobs {
+		knobs[i] = NewEnumKnob(string(rune('a'+i)), 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+		idx[i] = 6
+	}
+	s := New(knobs...)
+	center, err := s.FromIndices(idx)
+	if err != nil {
+		panic(err)
+	}
+	return s, center
+}
+
+// requireUnsafeAt places raw values above the one-draw bound at the given
+// (trial, coordinate) draws of a seeded stream, one position per call, and
+// requires sampleBall to match the oracle at every width.
+func requireUnsafeAt(t *testing.T, name string, s *Space, center Config, radius float64, maxCand int, exclude map[uint64]bool, seed int64, at [][2]int) {
+	t.Helper()
+	dim := s.NumKnobs()
+	safe1 := newBallSampler(dim, radius).safe + 1
+	for _, tc := range at {
+		for _, v := range []int64{safe1, math.MaxInt64} {
+			pos := tc[0]*dim + tc[1]
+			newSrc := func() rand.Source {
+				return &posSource{base: rand.NewSource(seed), at: map[int]int64{pos: v}}
+			}
+			requireSameSample(t, fmt.Sprintf("%s/trial-%d-coord-%d/%d", name, tc[0], tc[1], v), s, center, radius, maxCand, exclude, newSrc)
+		}
+	}
+}
+
+// TestSampleBallChunkEdges pins the chunk boundaries: raw values above the
+// one-draw bound in the first and last trial of a chunk and at a trial's
+// last coordinate, a chunk that ends the call exactly on its last trial
+// with the cap reached, and a chunk shrunk to one trial.
+func TestSampleBallChunkEdges(t *testing.T) {
+	s := tinyKnobSpace()
+	center := testCenters(s, rand.New(rand.NewSource(12)))[4].c // middle
+	const seed, radius, maxCand = 21, 3.0, 64
+	ch := s.chunks(center, radius, maxCand, nil, seed)
+	if len(ch) < 3 || ch[1][1]-ch[1][0] < 3 {
+		t.Fatalf("chunks %v: want at least three, the second of three or more trials", ch)
+	}
+	last := s.NumKnobs() - 1
+	for k, c := range ch[:2] {
+		first, end := c[0], c[1]-1
+		requireUnsafeAt(t, fmt.Sprintf("chunk-%d", k), s, center, radius, maxCand, nil, seed,
+			[][2]int{{first, 0}, {first, last}, {(first + end) / 2, last}, {end, 0}, {end, last}})
+	}
+
+	ws, wc := wideSpace()
+	const wideSeed, wideCap = 4, 8
+	full := ws.sampleBallFullWalk(wc, 4.5, wideCap, nil, rand.New(rand.NewSource(wideSeed)))
+	if got := ws.chunks(wc, 4.5, wideCap, nil, wideSeed); len(full) != wideCap || len(got) != 1 || got[0] != [2]int{0, wideCap} {
+		t.Fatalf("wide space: %d configs in chunks %v, want the cap in one chunk of %d trials", len(full), got, wideCap)
+	}
+	requireSameSample(t, "cap-in-one-chunk", ws, wc, 4.5, wideCap, nil, seeded(wideSeed))
+	// Excluding the third config leaves the first chunk one short, so a
+	// second chunk of one trial fills the cap.
+	ex := map[uint64]bool{full[2].Flat(): true}
+	ch = ws.chunks(wc, 4.5, wideCap, ex, wideSeed)
+	if len(ch) != 2 || ch[1] != [2]int{wideCap, wideCap + 1} {
+		t.Fatalf("wide space with one excluded config: chunks %v, want a second chunk of one trial", ch)
+	}
+	if n := requireSameSample(t, "cap-on-one-trial-chunk", ws, wc, 4.5, wideCap, ex, seeded(wideSeed)); n != wideCap {
+		t.Fatalf("one-trial chunk kept %d configs, want %d", n, wideCap)
+	}
+	requireUnsafeAt(t, "one-trial-chunk", ws, wc, 4.5, wideCap, ex, wideSeed,
+		[][2]int{{wideCap, 0}, {wideCap, last}, {wideCap - 1, last}})
 }

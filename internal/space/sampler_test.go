@@ -6,13 +6,27 @@ import (
 	"testing"
 )
 
-// unbounded returns offset ranges no ball draw can leave.
-func unbounded(dim int) (lo, hi []int) {
-	lo, hi = make([]int, dim), make([]int, dim)
-	for i := range lo {
+// drawOffset fills offset with one uniform ball draw through the
+// production walk, with ranges no ball draw can leave.
+func drawOffset(t *testing.T, bs *ballSampler, offset []int, rng *rand.Rand) {
+	t.Helper()
+	lo, hi := make([]int, bs.dim), make([]int, bs.dim)
+	buf := make([]int64, bs.dim)
+	for i := range buf {
 		lo[i], hi[i] = math.MinInt, math.MaxInt
+		buf[i] = rng.Int63()
+		if buf[i] > bs.safe {
+			t.Fatalf("raw draw %d above the one-draw bound", buf[i])
+		}
 	}
-	return lo, hi
+	ok := []bool{false}
+	bs.walk(buf, ok, lo, hi)
+	if !ok[0] {
+		t.Fatal("unbounded draw rejected")
+	}
+	for i, k := range buf {
+		offset[i] = int(k)
+	}
 }
 
 // TestBallSamplerUniform verifies the DP lattice-ball sampler draws each
@@ -22,7 +36,6 @@ func TestBallSamplerUniform(t *testing.T) {
 	dim := 3
 	radius := 2.0
 	bs := newBallSampler(dim, radius)
-	lo, hi := unbounded(dim)
 
 	// Enumerate the exact ball for reference.
 	r2 := radius * radius
@@ -44,9 +57,7 @@ func TestBallSamplerUniform(t *testing.T) {
 	draws := 33000
 	offset := make([]int, dim)
 	for i := 0; i < draws; i++ {
-		if !bs.sampleIn(offset, lo, hi, rng) {
-			t.Fatal("unbounded draw rejected")
-		}
+		drawOffset(t, bs, offset, rng)
 		k := key{offset[0], offset[1], offset[2]}
 		if _, ok := ball[k]; !ok {
 			t.Fatalf("sampled point %v outside the ball", offset)
@@ -83,14 +94,11 @@ func TestBallSamplerHighDim(t *testing.T) {
 	// 8-D radius 4.5 (the tau*R ball of the paper's settings): every draw
 	// must stay inside the ball.
 	bs := newBallSampler(8, 4.5)
-	lo, hi := unbounded(8)
 	rng := rand.New(rand.NewSource(2))
 	offset := make([]int, 8)
 	r2 := 4.5 * 4.5
 	for i := 0; i < 5000; i++ {
-		if !bs.sampleIn(offset, lo, hi, rng) {
-			t.Fatal("unbounded draw rejected")
-		}
+		drawOffset(t, bs, offset, rng)
 		s := 0
 		for _, k := range offset {
 			s += k * k
