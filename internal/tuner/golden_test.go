@@ -5,10 +5,12 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/tensor"
 	"repro/internal/transfer"
+	"repro/internal/xgb"
 )
 
 // Golden FNV-1a hashes of each tuner's full sample stream, captured from the
@@ -116,6 +118,59 @@ func TestGoldenTransferChain(t *testing.T) {
 	}
 	if got := goldenSampleHash(rb); got != goldenTransferBHash {
 		t.Errorf("task b hash %#016x, want golden %#016x", got, uint64(goldenTransferBHash))
+	}
+}
+
+// Golden FNV-1a hashes of the predictions of ModelTuner's cost model under
+// each objective: trained with training seed 7 on 256 random configurations
+// of golden.conv measured by simulator seed 5 (noise seed = row), targets normalized to the
+// best as trainModel does, every row predicted.
+var goldenCostModelHashes = map[bool]uint64{
+	false: 0x072e3f7757029562,
+	true:  0xf691433c0865946d,
+}
+
+// TestGoldenCostModelPredictions pins the cost-model parameters autotvm,
+// bted and chameleon train with, for squared-error and rank objectives.
+func TestGoldenCostModelPredictions(t *testing.T) {
+	task := goldenTask(t, "golden.conv", tensor.Conv2D(1, 32, 28, 28, 64, 3, 1, 1))
+	b := sim(5)
+	rng := rand.New(rand.NewSource(3))
+	var X [][]float64
+	var y []float64
+	yMax := 0.0
+	for i, c := range task.Space.RandomSample(256, rng) {
+		m := b.MeasureSeeded(task.Workload, c, int64(i))
+		g := 0.0
+		if m.Valid {
+			g = m.GFLOPS
+		}
+		X = append(X, c.Features())
+		y = append(y, g)
+		yMax = math.Max(yMax, g)
+	}
+	for i := range y {
+		y[i] /= yMax
+	}
+	for rank, want := range goldenCostModelHashes {
+		p := (&ModelTuner{RankObjective: rank}).xgbParams()
+		p.Seed = 7
+		model, err := xgb.Train(X, y, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		buf := make([]byte, 8)
+		for _, x := range X {
+			v := math.Float64bits(model.Predict(x))
+			for i := range buf {
+				buf[i] = byte(v >> (8 * i))
+			}
+			h.Write(buf)
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("rank objective %v: prediction hash %#016x, want golden %#016x", rank, got, want)
+		}
 	}
 }
 
