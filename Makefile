@@ -107,14 +107,14 @@ perfbench-test:
 # In-repo static-analysis suite (internal/analysis): determinism,
 # float-safety, lock hygiene, unchecked errors, library panics, plus the
 # dataflow-backed contract analyzers (maprange, walltime, parfold,
-# seedflow, errcmp) and stale-directive detection (deadignore). Gated on
-# the committed baseline: only findings not recorded there fail the run.
+# seedflow, errcmp) and stale-directive detection (deadignore). Any finding
+# fails the run.
 lint:
-	$(GO) run ./cmd/lint -baseline cmd/lint/baseline.json ./...
+	$(GO) run ./cmd/lint ./...
 
 # SARIF 2.1.0 report for CI code-scanning upload.
 lint-sarif:
-	$(GO) run ./cmd/lint -sarif -baseline cmd/lint/baseline.json ./... > lint.sarif
+	$(GO) run ./cmd/lint -sarif ./... > lint.sarif
 
 fmt-check:
 	@out=$$(gofmt -l .); \

@@ -1,27 +1,20 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/analysis"
 )
 
 // finding is the external form of one diagnostic: flat fields, file path
-// relative to the module root (slash-separated), so output and baselines
-// are stable across checkouts.
+// relative to the module root (slash-separated), so output is stable
+// across checkouts.
 type finding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
 	Message  string `json:"message"`
-	// Baselined marks findings matched by the baseline file; they are
-	// reported but do not fail the run.
-	Baselined bool `json:"baselined,omitempty"`
 }
 
 // toFindings converts diagnostics to findings, relativizing paths against
@@ -43,91 +36,4 @@ func toFindings(diags []analysis.Diagnostic, moduleRoot string) []finding {
 		})
 	}
 	return out
-}
-
-// baselineFile is the on-disk baseline format. Findings recorded here are
-// known debt: the lint run reports them but exits zero unless a finding
-// NOT in the baseline appears.
-type baselineFile struct {
-	Comment  string    `json:"comment,omitempty"`
-	Findings []finding `json:"findings"`
-}
-
-// baselineKey identifies a finding for baseline matching. Line and column
-// are deliberately excluded: unrelated edits move findings around a file,
-// and a baseline that rots on every reflow protects nothing.
-func baselineKey(f finding) string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
-// loadBaseline reads a baseline file. A missing file is an empty baseline,
-// so bootstrapping (and `-write-baseline` on a fresh checkout) needs no
-// special casing.
-func loadBaseline(path string) (*baselineFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return &baselineFile{}, nil
-		}
-		return nil, err
-	}
-	var b baselineFile
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// applyBaseline marks findings present in the baseline (as a multiset: two
-// identical findings need two baseline entries) and returns the number
-// that remain new.
-func applyBaseline(findings []finding, b *baselineFile) (marked []finding, newCount int) {
-	budget := map[string]int{}
-	for _, f := range b.Findings {
-		budget[baselineKey(f)]++
-	}
-	marked = make([]finding, len(findings))
-	for i, f := range findings {
-		k := baselineKey(f)
-		if budget[k] > 0 {
-			budget[k]--
-			f.Baselined = true
-		} else {
-			newCount++
-		}
-		marked[i] = f
-	}
-	return marked, newCount
-}
-
-// writeBaseline rewrites the baseline file from the current findings,
-// sorted for stable diffs.
-func writeBaseline(path string, findings []finding) error {
-	entries := make([]finding, len(findings))
-	copy(entries, findings)
-	for i := range entries {
-		entries[i].Baselined = false
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	b := baselineFile{
-		Comment:  "Accepted lint debt. Entries match on (file, analyzer, message); lines are informational. Regenerate with: go run ./cmd/lint -write-baseline",
-		Findings: entries,
-	}
-	data, err := json.MarshalIndent(&b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -9,18 +9,13 @@
 //	go run ./cmd/lint -run maprange,parfold  # only these analyzers
 //	go run ./cmd/lint -list            # describe the analyzers and exit
 //
-// With -baseline FILE, findings recorded in FILE are reported but do not
-// fail the run: the exit status reflects only findings that are new
-// relative to the baseline. -write-baseline rewrites FILE from the
-// current findings (accepting today's debt so CI fails only on growth).
-//
 // The package pattern is accepted for familiarity but the suite always
 // loads the full module containing the working directory: the analyzers
 // are cheap, and cross-package invariants (lock types, injected RNGs) only
 // hold if every package is checked together.
 //
-// Exit status: 0 clean (or baseline-only findings), 1 new findings
-// reported, 2 load or usage error.
+// Exit status: 0 clean, 1 findings reported (in every output format), 2
+// load or usage error.
 package main
 
 import (
@@ -44,8 +39,6 @@ func run(args []string) int {
 	list := fs.Bool("list", false, "list the analyzers and their docs, then exit")
 	root := fs.String("root", ".", "directory inside the module to lint")
 	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	baselinePath := fs.String("baseline", "", "baseline file: findings recorded there do not fail the run")
-	writeBl := fs.Bool("write-baseline", false, "rewrite the -baseline file from the current findings and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -69,10 +62,6 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "lint: -json and -sarif are mutually exclusive")
 		return 2
 	}
-	if *writeBl && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "lint: -write-baseline requires -baseline FILE")
-		return 2
-	}
 
 	loader, err := analysis.NewLoader(*root)
 	if err != nil {
@@ -86,25 +75,6 @@ func run(args []string) int {
 	}
 	findings := toFindings(analysis.Run(pkgs, analyzers), loader.ModuleRoot())
 
-	if *writeBl {
-		if err := writeBaseline(*baselinePath, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "lint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "lint: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return 0
-	}
-
-	failCount := len(findings)
-	if *baselinePath != "" {
-		b, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lint:", err)
-			return 2
-		}
-		findings, failCount = applyBaseline(findings, b)
-	}
-
 	switch {
 	case *jsonOut:
 		enc := json.NewEncoder(os.Stdout)
@@ -114,23 +84,19 @@ func run(args []string) int {
 			return 2
 		}
 	case *sarifOut:
-		if err := writeSARIF(os.Stdout, findings, analyzers, *baselinePath != ""); err != nil {
+		if err := writeSARIF(os.Stdout, findings, analyzers); err != nil {
 			fmt.Fprintln(os.Stderr, "lint:", err)
 			return 2
 		}
 	default:
 		for _, f := range findings {
-			suffix := ""
-			if f.Baselined {
-				suffix = " (baselined)"
-			}
-			fmt.Printf("%s:%d:%d: %s: %s%s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message, suffix)
+			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "lint: %d finding(s) in %d package(s), %d new\n", len(findings), len(pkgs), failCount)
+			fmt.Fprintf(os.Stderr, "lint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
 		}
 	}
-	if failCount > 0 {
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0

@@ -32,99 +32,13 @@ func TestToFindingsRelativizesPaths(t *testing.T) {
 	}
 }
 
-func TestApplyBaselineMatchesOnFileAnalyzerMessage(t *testing.T) {
-	b := &baselineFile{Findings: []finding{
-		// Recorded at an old line: must still match after the code moved.
-		mkFinding("walltime", "a.go", 10, 2, "calls time.Now"),
-		mkFinding("maprange", "b.go", 5, 1, "map order escapes"),
-	}}
-	current := []finding{
-		mkFinding("walltime", "a.go", 42, 9, "calls time.Now"), // baselined (moved)
-		mkFinding("maprange", "b.go", 5, 1, "map order escapes"),
-		mkFinding("seedflow", "c.go", 1, 1, "literal seed"), // new
-	}
-	marked, newCount := applyBaseline(current, b)
-	if newCount != 1 {
-		t.Fatalf("newCount = %d, want 1", newCount)
-	}
-	if !marked[0].Baselined || !marked[1].Baselined || marked[2].Baselined {
-		t.Errorf("baselined flags = %v %v %v, want true true false",
-			marked[0].Baselined, marked[1].Baselined, marked[2].Baselined)
-	}
-}
-
-func TestApplyBaselineIsAMultiset(t *testing.T) {
-	// One baseline entry covers exactly one occurrence of an identical
-	// finding; a second identical finding is new.
-	b := &baselineFile{Findings: []finding{mkFinding("errcmp", "a.go", 1, 1, "== sentinel")}}
-	current := []finding{
-		mkFinding("errcmp", "a.go", 1, 1, "== sentinel"),
-		mkFinding("errcmp", "a.go", 9, 1, "== sentinel"),
-	}
-	marked, newCount := applyBaseline(current, b)
-	if newCount != 1 {
-		t.Fatalf("newCount = %d, want 1", newCount)
-	}
-	if !marked[0].Baselined || marked[1].Baselined {
-		t.Errorf("multiset budget not respected: %v %v", marked[0].Baselined, marked[1].Baselined)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	findings := []finding{
-		mkFinding("parfold", "z.go", 9, 3, "assigns captured"),
-		mkFinding("maprange", "a.go", 2, 1, "escape"),
-	}
-	if err := writeBaseline(path, findings); err != nil {
-		t.Fatal(err)
-	}
-	b, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Findings) != 2 {
-		t.Fatalf("got %d findings, want 2", len(b.Findings))
-	}
-	// writeBaseline sorts by file, so a.go comes first regardless of the
-	// input order.
-	if b.Findings[0].File != "a.go" || b.Findings[1].File != "z.go" {
-		t.Errorf("baseline not sorted: %s, %s", b.Findings[0].File, b.Findings[1].File)
-	}
-	_, newCount := applyBaseline(findings, b)
-	if newCount != 0 {
-		t.Errorf("round-tripped baseline left %d findings new, want 0", newCount)
-	}
-}
-
-func TestLoadBaselineMissingFileIsEmpty(t *testing.T) {
-	b, err := loadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Findings) != 0 {
-		t.Errorf("missing baseline yielded %d findings", len(b.Findings))
-	}
-}
-
-func TestCommittedBaselineIsLoadableAndEmpty(t *testing.T) {
-	b, err := loadBaseline("baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The tree is lint-clean; any entry here is unexplained debt.
-	if len(b.Findings) != 0 {
-		t.Errorf("committed baseline holds %d findings; the tree should be clean", len(b.Findings))
-	}
-}
-
 func TestSARIFShape(t *testing.T) {
 	findings := []finding{
-		{Analyzer: "maprange", File: "a.go", Line: 3, Col: 7, Message: "escape", Baselined: true},
+		{Analyzer: "maprange", File: "a.go", Line: 3, Col: 7, Message: "escape"},
 		{Analyzer: "seedflow", File: "b.go", Line: 1, Col: 1, Message: "literal seed"},
 	}
 	var buf bytes.Buffer
-	if err := writeSARIF(&buf, findings, analysis.All(), true); err != nil {
+	if err := writeSARIF(&buf, findings, analysis.All()); err != nil {
 		t.Fatal(err)
 	}
 	var log sarifLog
@@ -144,9 +58,8 @@ func TestSARIFShape(t *testing.T) {
 	if len(run.Results) != 2 {
 		t.Fatalf("%d results, want 2", len(run.Results))
 	}
-	if run.Results[0].BaselineState != "unchanged" || run.Results[1].BaselineState != "new" {
-		t.Errorf("baselineState = %q, %q; want unchanged, new",
-			run.Results[0].BaselineState, run.Results[1].BaselineState)
+	if run.Results[0].RuleID != "maprange" || run.Results[1].Level != "error" {
+		t.Errorf("results = %+v", run.Results)
 	}
 	loc := run.Results[0].Locations[0].PhysicalLocation
 	if loc.ArtifactLocation.URI != "a.go" || loc.Region.StartLine != 3 || loc.Region.StartColumn != 7 {
@@ -156,7 +69,7 @@ func TestSARIFShape(t *testing.T) {
 
 func TestSARIFEmptyFindingsStillValid(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeSARIF(&buf, nil, analysis.All(), false); err != nil {
+	if err := writeSARIF(&buf, nil, analysis.All()); err != nil {
 		t.Fatal(err)
 	}
 	var log sarifLog
@@ -219,20 +132,30 @@ func Dump(m map[string]int) {
 	}
 }
 `)
-	// Capture stdout so the JSON can be decoded.
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	// runCaptured runs the driver with stdout captured so its report can
+	// be decoded.
+	runCaptured := func(args ...string) (int, bytes.Buffer) {
+		t.Helper()
+		old := os.Stdout
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stdout = w
+		code := run(args)
+		w.Close()
+		os.Stdout = old
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(r); err != nil {
+			t.Fatal(err)
+		}
+		return code, buf
 	}
-	os.Stdout = w
-	code := run([]string{"-json", "-root", dir, "-run", "maprange,seedflow,errcmp"})
-	w.Close()
-	os.Stdout = old
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		t.Fatal(err)
+	// Every output format fails the run on a finding.
+	if code, buf := runCaptured("-sarif", "-root", dir, "-run", "seedflow"); code != 1 {
+		t.Fatalf("-sarif exit code = %d, want 1; output:\n%s", code, buf.String())
 	}
+	code, buf := runCaptured("-json", "-root", dir, "-run", "maprange,seedflow,errcmp")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; output:\n%s", code, buf.String())
 	}

@@ -46,9 +46,6 @@ type sarifResult struct {
 	Level     string          `json:"level"`
 	Message   sarifMessage    `json:"message"`
 	Locations []sarifLocation `json:"locations"`
-	// BaselineState distinguishes accepted debt ("unchanged") from findings
-	// that should fail the run ("new"). Empty when no baseline is in play.
-	BaselineState string `json:"baselineState,omitempty"`
 }
 
 type sarifLocation struct {
@@ -69,9 +66,8 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn"`
 }
 
-// writeSARIF renders the findings as one SARIF run. haveBaseline controls
-// whether baselineState is emitted.
-func writeSARIF(w io.Writer, findings []finding, analyzers []analysis.Analyzer, haveBaseline bool) error {
+// writeSARIF renders the findings as one SARIF run.
+func writeSARIF(w io.Writer, findings []finding, analyzers []analysis.Analyzer) error {
 	rules := make([]sarifRule, 0, len(analyzers))
 	for _, a := range analyzers {
 		rules = append(rules, sarifRule{
@@ -81,7 +77,7 @@ func writeSARIF(w io.Writer, findings []finding, analyzers []analysis.Analyzer, 
 	}
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {
-		r := sarifResult{
+		results = append(results, sarifResult{
 			RuleID:  f.Analyzer,
 			Level:   "error",
 			Message: sarifMessage{Text: f.Message},
@@ -91,15 +87,7 @@ func writeSARIF(w io.Writer, findings []finding, analyzers []analysis.Analyzer, 
 					Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Col},
 				},
 			}},
-		}
-		if haveBaseline {
-			if f.Baselined {
-				r.BaselineState = "unchanged"
-			} else {
-				r.BaselineState = "new"
-			}
-		}
-		results = append(results, r)
+		})
 	}
 	log := sarifLog{
 		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",

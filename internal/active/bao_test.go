@@ -162,7 +162,7 @@ func TestBAOFindsNearOptimum(t *testing.T) {
 	sp := quadSpace()
 	rng := rand.New(rand.NewSource(4))
 	init := measureInit(sp, 16, rng, quadMeasure)
-	p := BAOParams{Eta: 0.05, Gamma: 2, Tau: 1.5, R: 3}
+	p := BAOParams{Gamma: 2, Tau: 1.5, R: 3}
 	samples := runBAO(sp, NewXGBTrainer(), init, quadMeasure, p, 120, rng)
 	best, ok := Best(samples)
 	if !ok {
@@ -184,7 +184,7 @@ func TestBAOBeatsRandomSearch(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		rng := rand.New(rand.NewSource(int64(40 + r)))
 		init := measureInit(sp, 16, rng, quadMeasure)
-		p := BAOParams{Eta: 0.05, Gamma: 2, Tau: 1.5, R: 3}
+		p := BAOParams{Gamma: 2, Tau: 1.5, R: 3}
 		samples := runBAO(sp, NewXGBTrainer(), init, quadMeasure, p, 150, rng)
 		baoBest, _ := Best(samples)
 
@@ -313,7 +313,7 @@ func TestRelativeImprovement(t *testing.T) {
 
 func TestBAOParamsNormalized(t *testing.T) {
 	p := BAOParams{}.normalized()
-	if p.Eta != 0.05 || p.Gamma != 2 || p.Tau != 1.5 || p.R != 3 {
+	if p.Gamma != 2 || p.Tau != 1.5 || p.R != 3 {
 		t.Fatalf("defaults wrong: %+v", p)
 	}
 	if d := DefaultBAOParams().normalized(); d != p {

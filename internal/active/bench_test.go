@@ -63,7 +63,7 @@ func BenchmarkBTED(b *testing.B) {
 		space.NewEnumKnob("u", 0, 512, 1500),
 		space.NewEnumKnob("e", 0, 1),
 	)
-	p := BTEDParams{Mu: 0.1, M: 500, M0: 64, B: 4}
+	p := BTEDParams{M: 500, M0: 64, B: 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

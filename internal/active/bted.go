@@ -7,14 +7,16 @@ import (
 	"repro/internal/space"
 )
 
+// btedMu is the paper's TED normalization coefficient mu.
+const btedMu = 0.1
+
 // BTEDParams configures batch transductive experimental design
 // (Algorithm 2). The paper's experimental settings are the defaults:
-// (mu=0.1, M=500, m=64, B=10).
+// (mu=0.1, fixed as btedMu; M=500, m=64, B=10).
 type BTEDParams struct {
-	Mu float64 // TED normalization coefficient
-	M  int     // random points drawn per batch
-	M0 int     // points TED selects per batch and finally (paper's m)
-	B  int     // number of batches
+	M  int // random points drawn per batch
+	M0 int // points TED selects per batch and finally (paper's m)
+	B  int // number of batches
 	// View selects the embedding for distances (default ViewKnobValues).
 	View FeatureView
 	// Kernel builds K_VV; nil means RBF with gamma = 1/featureDim.
@@ -23,13 +25,10 @@ type BTEDParams struct {
 
 // DefaultBTEDParams returns the paper's experimental settings.
 func DefaultBTEDParams() BTEDParams {
-	return BTEDParams{Mu: 0.1, M: 500, M0: 64, B: 10}
+	return BTEDParams{M: 500, M0: 64, B: 10}
 }
 
 func (p BTEDParams) normalized(featDim int) BTEDParams {
-	if p.Mu <= 0 {
-		p.Mu = 0.1
-	}
 	if p.M <= 0 {
 		p.M = 500
 	}
@@ -64,7 +63,7 @@ func BTED(sp *space.Space, p BTEDParams, rng *rand.Rand) []space.Config {
 	var union []space.Config
 	for b := 0; b < p.B; b++ {
 		batch := sp.RandomSample(p.M, rng)
-		picked := TEDConfigs(batch, p.Mu, p.M0, p.View, p.Kernel, rng)
+		picked := TEDConfigs(batch, btedMu, p.M0, p.View, p.Kernel, rng)
 		for _, c := range picked {
 			f := c.Flat()
 			if seen[f] {
@@ -74,7 +73,7 @@ func BTED(sp *space.Space, p BTEDParams, rng *rand.Rand) []space.Config {
 			union = append(union, c)
 		}
 	}
-	return TEDConfigs(union, p.Mu, p.M0, p.View, p.Kernel, rng)
+	return TEDConfigs(union, btedMu, p.M0, p.View, p.Kernel, rng)
 }
 
 // RandomInit draws the AutoTVM-style random initialization set of the same

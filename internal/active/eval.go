@@ -18,27 +18,17 @@ type EvalTrainer interface {
 }
 
 // XGBTrainer adapts the gradient-boosted-tree regressor as the evaluation
-// function, matching AutoTVM's XGBoost cost model.
-type XGBTrainer struct {
-	Params xgb.Params
-}
+// function, matching AutoTVM's XGBoost cost model. Its ensemble is sized
+// for the BAO loop, which retrains Gamma models on every optimization step:
+// fewer, shallower trees over quantized features.
+type XGBTrainer struct{}
 
-// NewXGBTrainer returns a trainer with parameters sized for the BAO loop,
-// which retrains Gamma models on every optimization step: fewer, shallower
-// trees over quantized features.
-func NewXGBTrainer() XGBTrainer {
-	p := xgb.DefaultParams()
-	p.NumRounds = 20
-	p.MaxDepth = 4
-	p.MaxBins = 16
-	return XGBTrainer{Params: p}
-}
+// NewXGBTrainer returns the XGBoost trainer.
+func NewXGBTrainer() XGBTrainer { return XGBTrainer{} }
 
 // Train implements EvalTrainer.
-func (t XGBTrainer) Train(X [][]float64, y []float64, seed int64) (Evaluator, error) {
-	p := t.Params
-	p.Seed = seed
-	return xgb.Train(X, y, p)
+func (XGBTrainer) Train(X [][]float64, y []float64, seed int64) (Evaluator, error) {
+	return xgb.Train(X, y, xgb.Params{NumRounds: 20, MaxDepth: 4, MaxBins: 16, Seed: seed})
 }
 
 // MeanEvaluator averages a set of evaluators; summation and averaging give

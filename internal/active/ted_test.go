@@ -129,7 +129,7 @@ func TestBTEDBasics(t *testing.T) {
 		space.NewSplitKnob("tile_b", 56, 4),
 		space.NewEnumKnob("u", 0, 512, 1500),
 	)
-	p := BTEDParams{Mu: 0.1, M: 100, M0: 16, B: 4}
+	p := BTEDParams{M: 100, M0: 16, B: 4}
 	rng := rand.New(rand.NewSource(5))
 	got := BTED(sp, p, rng)
 	if len(got) != 16 {
@@ -169,7 +169,7 @@ func TestBTEDMoreDiverseThanRandom(t *testing.T) {
 		}
 		return total / float64(len(emb))
 	}
-	p := BTEDParams{Mu: 0.1, M: 200, M0: 24, B: 4}
+	p := BTEDParams{M: 200, M0: 24, B: 4}
 	wins := 0
 	rounds := 6
 	for r := 0; r < rounds; r++ {
@@ -188,11 +188,11 @@ func TestBTEDMoreDiverseThanRandom(t *testing.T) {
 
 func TestBTEDParamDefaults(t *testing.T) {
 	p := BTEDParams{}.normalized(10)
-	if p.Mu != 0.1 || p.M != 500 || p.M0 != 64 || p.B != 10 || p.Kernel == nil {
+	if p.M != 500 || p.M0 != 64 || p.B != 10 || p.Kernel == nil {
 		t.Fatalf("defaults wrong: %+v", p)
 	}
 	d := DefaultBTEDParams()
-	if d.M != 500 || d.M0 != 64 || d.B != 10 || d.Mu != 0.1 {
+	if d.M != 500 || d.M0 != 64 || d.B != 10 {
 		t.Fatalf("paper defaults wrong: %+v", d)
 	}
 }
@@ -203,7 +203,7 @@ func TestBTEDWithIndicesViewAndDistanceKernel(t *testing.T) {
 		space.NewSplitKnob("tile_a", 64, 4),
 		space.NewEnumKnob("u", 0, 512, 1500),
 	)
-	p := BTEDParams{Mu: 0.1, M: 80, M0: 12, B: 3, View: ViewKnobIndices, Kernel: linalg.DistanceKernel{}}
+	p := BTEDParams{M: 80, M0: 12, B: 3, View: ViewKnobIndices, Kernel: linalg.DistanceKernel{}}
 	rng := rand.New(rand.NewSource(6))
 	got := BTED(sp, p, rng)
 	if len(got) != 12 {

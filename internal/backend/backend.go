@@ -63,7 +63,8 @@ func New(device string, seed int64) (*Sim, error) {
 }
 
 // Wrap adapts an existing simulator under the given name, for callers that
-// need explicit estimator settings (ablations) or direct simulator access.
+// build the simulator themselves: the paper studies construct one per trial
+// from a device they already hold, and tests keep direct simulator access.
 func Wrap(name string, sim *hwsim.Simulator) *Sim {
 	return &Sim{device: name, sim: sim}
 }

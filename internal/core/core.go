@@ -142,17 +142,6 @@ type Deployment struct {
 	TotalMeasurements int
 }
 
-// BestGFLOPSByTask maps task name to its best achieved GFLOPS.
-func (d *Deployment) BestGFLOPSByTask() map[string]float64 {
-	out := make(map[string]float64, len(d.Tasks))
-	for _, t := range d.Tasks {
-		if t.Result.Found {
-			out[t.Task.Name] = t.Result.Best.GFLOPS
-		}
-	}
-	return out
-}
-
 // Records flattens all tuning measurements into log records.
 func (d *Deployment) Records() []record.Record {
 	var out []record.Record
@@ -229,20 +218,28 @@ func OptimizeGraph(ctx context.Context, g *graph.Graph, tn tuner.Tuner, b backen
 	dep := &Deployment{Model: g.Name, TunerName: tn.Name()}
 	taskOuts := make([]TaskOutcome, len(specs))
 	hdeps := make([]hwsim.Deployment, len(specs))
+	// deploy selects the task's deployed configuration and fills its
+	// outcome and deployment slots. selectDeployConfig derives
+	// per-config measurement seeds, so the selection is the same whenever
+	// it runs.
+	deploy := func(o sched.Outcome) space.Config {
+		task := specs[o.Index].Task
+		deployed := selectDeployConfig(task, o.Result, b, specs[o.Index].Opts.Seed)
+		taskOuts[o.Index] = TaskOutcome{Task: task, Result: o.Result, Deployed: deployed}
+		hdeps[o.Index] = hwsim.Deployment{Workload: task.Workload, Config: deployed, Count: task.Count}
+		return deployed
+	}
 	sopts := sched.Options{
 		TaskConcurrency: opts.TaskConcurrency,
 		Policy:          policy,
 		TaskDeadline:    opts.TaskDeadline,
 		OnTaskDone: func(o sched.Outcome) {
 			// Runs on the scheduler's driver goroutine, in completion order.
-			task := specs[o.Index].Task
-			deployed := selectDeployConfig(task, o.Result, b, specs[o.Index].Opts.Seed)
-			taskOuts[o.Index] = TaskOutcome{Task: task, Result: o.Result, Deployed: deployed}
-			hdeps[o.Index] = hwsim.Deployment{Workload: task.Workload, Config: deployed, Count: task.Count}
+			deployed := deploy(o)
 			if opts.OnTaskDone != nil {
 				cbMu.Lock()
 				opts.OnTaskDone(TaskEvent{
-					Index: o.Index + 1, Total: len(specs), Name: task.Name,
+					Index: o.Index + 1, Total: len(specs), Name: specs[o.Index].Task.Name,
 					Result: o.Result, Err: o.Err, Elapsed: o.Elapsed, Deployed: deployed,
 				})
 				cbMu.Unlock()
@@ -276,17 +273,12 @@ func OptimizeGraph(ctx context.Context, g *graph.Graph, tn tuner.Tuner, b backen
 	}
 	// Outcomes restored from a resumed checkpoint never pass through
 	// OnTaskDone (scheduler callbacks fire only for post-checkpoint events),
-	// so their deployment selections are filled in here. selectDeployConfig
-	// derives per-config measurement seeds, making the late selection
-	// bit-identical to the original boundary-time one.
+	// so their deployment selections are filled in here, bit-identical to
+	// the original boundary-time ones.
 	for _, o := range outs {
-		if taskOuts[o.Index].Task != nil {
-			continue
+		if taskOuts[o.Index].Task == nil {
+			deploy(o)
 		}
-		task := specs[o.Index].Task
-		deployed := selectDeployConfig(task, o.Result, b, specs[o.Index].Opts.Seed)
-		taskOuts[o.Index] = TaskOutcome{Task: task, Result: o.Result, Deployed: deployed}
-		hdeps[o.Index] = hwsim.Deployment{Workload: task.Workload, Config: deployed, Count: task.Count}
 	}
 	for i := range taskOuts {
 		dep.Tasks = append(dep.Tasks, taskOuts[i])
@@ -329,38 +321,6 @@ func streamObserver(opts PipelineOptions, mu *sync.Mutex, inner tuner.Observer, 
 			})
 		}
 	}
-}
-
-// ApplyRecords rebuilds a Deployment's latency from previously logged best
-// records (e.g. loaded from disk) instead of re-tuning. Tasks without a
-// matching record are an error.
-func ApplyRecords(model string, recs []record.Record, b backend.Backend, extract graph.ExtractOpts, runs int) (latencyMS, variance float64, err error) {
-	g, err := graph.Model(model)
-	if err != nil {
-		return 0, 0, err
-	}
-	if runs <= 0 {
-		runs = 600
-	}
-	best := record.BestByTask(recs)
-	gtasks := graph.ExtractTasks(g, extract)
-	deps := make([]hwsim.Deployment, 0, len(gtasks))
-	for _, gt := range gtasks {
-		r, ok := best[gt.Name]
-		if !ok {
-			return 0, 0, fmt.Errorf("core: no record for task %s", gt.Name)
-		}
-		task, err := tuner.FromGraphTask(gt)
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg, err := r.ToConfig(task.Space)
-		if err != nil {
-			return 0, 0, fmt.Errorf("core: record for %s: %w", gt.Name, err)
-		}
-		deps = append(deps, hwsim.Deployment{Workload: task.Workload, Config: cfg, Count: task.Count})
-	}
-	return b.NetworkLatency(deps, runs)
 }
 
 // Before deployment, the top remeasureTopK distinct configurations of each
@@ -447,47 +407,8 @@ func resumeSamples(recs []record.Record, task *tuner.Task) []active.Sample {
 	return out
 }
 
-// SortedTaskNames returns the deployment's task names in index order
-// (T1, T2, ... as in Fig. 5).
-func (d *Deployment) SortedTaskNames() []string {
-	names := make([]string, 0, len(d.Tasks))
-	for _, t := range d.Tasks {
-		names = append(names, t.Task.Name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return taskIndex(names[i]) < taskIndex(names[j])
-	})
-	return names
-}
-
-// taskIndex parses the numeric suffix of "<model>.T<k>".
-func taskIndex(name string) int {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == 'T' {
-			k := 0
-			for _, ch := range name[i+1:] {
-				if ch < '0' || ch > '9' {
-					return 0
-				}
-				k = k*10 + int(ch-'0')
-			}
-			return k
-		}
-	}
-	return 0
-}
-
 // Summary renders a one-line deployment summary.
 func (d *Deployment) Summary() string {
 	return fmt.Sprintf("%s/%s: %.4f ms (var %.4g), %d tasks, %d measurements",
 		d.Model, d.TunerName, d.LatencyMS, d.Variance, len(d.Tasks), d.TotalMeasurements)
-}
-
-// InitSamplesOf returns the first n samples of a result, a convenience for
-// inspecting initialization quality in examples and docs.
-func InitSamplesOf(r tuner.Result, n int) []active.Sample {
-	if n > len(r.Samples) {
-		n = len(r.Samples)
-	}
-	return r.Samples[:n]
 }

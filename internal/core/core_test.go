@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/backend"
@@ -59,9 +60,10 @@ func TestOptimizeGraphEndToEnd(t *testing.T) {
 	if dep.Summary() == "" {
 		t.Fatal("summary empty")
 	}
-	best := dep.BestGFLOPSByTask()
-	if len(best) != 3 {
-		t.Fatalf("best map size %d", len(best))
+	for _, o := range dep.Tasks {
+		if !o.Result.Found {
+			t.Fatalf("task %s found no valid config", o.Task.Name)
+		}
 	}
 }
 
@@ -107,67 +109,8 @@ func TestRecordsRoundTripThroughApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ApplyRecords only works for registered models; use mobilenet tasks
-	// indirectly by checking the error path first.
-	if _, _, err := ApplyRecords("nope", loaded, b, graph.AllOps, 50); err == nil {
-		t.Fatal("unknown model should error")
-	}
-	// Missing records for a real model also error.
-	if _, _, err := ApplyRecords("mobilenet-v1", nil, b, graph.ConvOnly, 50); err == nil {
-		t.Fatal("missing records should error")
-	}
-}
-
-func TestApplyRecordsRealModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tunes a real model")
-	}
-	b := testBackend(t, 4)
-	opts := PipelineOptions{
-		Tuning:  tuner.Options{Budget: 12, EarlyStop: -1, PlanSize: 8, Seed: 9},
-		Extract: graph.ConvOnly,
-		Runs:    50,
-	}
-	dep, err := OptimizeModel(context.Background(), "squeezenet-v1.1", tuner.RandomTuner{}, b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat, variance, err := ApplyRecords("squeezenet-v1.1", dep.Records(), b, graph.ConvOnly, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat <= 0 || variance <= 0 {
-		t.Fatalf("applied latency %v var %v", lat, variance)
-	}
-}
-
-func TestSortedTaskNames(t *testing.T) {
-	dep, err := OptimizeGraph(context.Background(), tinyGraph(), tuner.RandomTuner{}, testBackend(t, 5), quickPipelineOpts(15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := dep.SortedTaskNames()
-	if len(names) != 3 {
-		t.Fatalf("names = %v", names)
-	}
-	for i, n := range names {
-		if taskIndex(n) != i+1 {
-			t.Fatalf("names not in T-order: %v", names)
-		}
-	}
-}
-
-func TestTaskIndexParsing(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-	}{
-		{"mobilenet-v1.T7", 7}, {"m.T19", 19}, {"weird", 0}, {"m.Tx", 0},
-	}
-	for _, c := range cases {
-		if got := taskIndex(c.in); got != c.want {
-			t.Errorf("taskIndex(%q) = %d, want %d", c.in, got, c.want)
-		}
+	if !reflect.DeepEqual(loaded, recs) {
+		t.Fatal("records changed across the log round trip")
 	}
 }
 
@@ -180,22 +123,5 @@ func TestUseTransferPipeline(t *testing.T) {
 	}
 	if !dep.Tasks[0].Result.Found {
 		t.Fatal("transfer pipeline failed")
-	}
-}
-
-func TestInitSamplesOf(t *testing.T) {
-	task, err := tuner.NewTask("x", tinyGraph().TunableNodes()[0].Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tuner.Tune(context.Background(), tuner.RandomTuner{}, task, testBackend(t, 7), tuner.Options{Budget: 10, EarlyStop: -1, PlanSize: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := InitSamplesOf(res, 4); len(got) != 4 {
-		t.Fatalf("init samples = %d", len(got))
-	}
-	if got := InitSamplesOf(res, 1000); len(got) != res.Measurements {
-		t.Fatal("oversized init request should clamp")
 	}
 }

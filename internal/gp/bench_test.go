@@ -22,11 +22,11 @@ func benchData(n, d int, seed int64) ([][]float64, []float64) {
 	return X, y
 }
 
-// BenchmarkGPTrain fits the GP evaluator at its default training-set cap
-// (MaxPoints=400): kernel build plus Cholesky factorization.
+// BenchmarkGPTrain fits the GP evaluator at its training-set cap (400
+// points): kernel build plus Cholesky factorization.
 func BenchmarkGPTrain(b *testing.B) {
 	X, y := benchData(400, 8, 1)
-	p := DefaultParams()
+	p := Params{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,7 +40,7 @@ func BenchmarkGPTrain(b *testing.B) {
 // pattern of BootstrapSelect's scoring stage.
 func BenchmarkGPPredict(b *testing.B) {
 	X, y := benchData(400, 8, 2)
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, Params{})
 	if err != nil {
 		b.Fatal(err)
 	}

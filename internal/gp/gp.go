@@ -5,9 +5,9 @@
 // evaluation functions": swap gp.Trainer for the XGBoost trainer and BAO
 // runs unchanged.
 //
-// Training cost is O(n³) in the number of observations, so the trainer
-// caps the training-set size by uniform subsampling; for tuning-scale data
-// (hundreds of points) exact inference is comfortably fast.
+// Training cost is O(n³) in the number of observations, so Train caps the
+// training-set size at 400 points by uniform subsampling; for tuning-scale
+// data (hundreds of points) exact inference is comfortably fast.
 package gp
 
 import (
@@ -21,18 +21,19 @@ import (
 	"repro/internal/par"
 )
 
+// The regression's fixed settings: a unit-amplitude RBF kernel whose
+// length scale is the median pairwise distance of the training inputs.
+const (
+	// noiseVar is the observation noise added to the kernel diagonal
+	// (tuning measurements are noisy); factorization retries multiply it
+	// by 10.
+	noiseVar = 1e-2
+	// maxPoints caps the training set by uniform subsampling.
+	maxPoints = 400
+)
+
 // Params configures GP regression.
 type Params struct {
-	// LengthScale of the RBF kernel; <= 0 selects the median heuristic
-	// (median pairwise distance of the training inputs).
-	LengthScale float64
-	// SignalVar is the kernel amplitude σ_f² (default 1).
-	SignalVar float64
-	// NoiseVar is the observation noise σ_n² added to the diagonal
-	// (default 1e-2; tuning measurements are noisy).
-	NoiseVar float64
-	// MaxPoints caps the training set by uniform subsampling (default 400).
-	MaxPoints int
 	// Seed drives the subsampling.
 	Seed int64
 	// Workers caps the goroutines used to build the kernel matrix; <= 0
@@ -42,36 +43,16 @@ type Params struct {
 	Workers int
 }
 
-// DefaultParams returns settings suited to normalized tuning targets.
-func DefaultParams() Params {
-	return Params{SignalVar: 1, NoiseVar: 1e-2, MaxPoints: 400}
-}
-
-func (p Params) normalized() Params {
-	if p.SignalVar <= 0 {
-		p.SignalVar = 1
-	}
-	if p.NoiseVar <= 0 {
-		p.NoiseVar = 1e-2
-	}
-	if p.MaxPoints <= 0 {
-		p.MaxPoints = 400
-	}
-	return p
-}
-
 // Model is a fitted Gaussian process.
 type Model struct {
-	params Params
-	ls2    float64 // 2 * lengthscale^2
-	x      [][]float64
-	alpha  []float64
-	mean   float64
+	ls2   float64 // 2 * lengthscale^2
+	x     [][]float64
+	alpha []float64
+	mean  float64
 }
 
 // Train fits a GP to (X, y). Inputs are referenced, not copied.
 func Train(X [][]float64, y []float64, p Params) (*Model, error) {
-	p = p.normalized()
 	n := len(X)
 	if n == 0 || len(y) != n {
 		return nil, fmt.Errorf("gp: need matching non-empty X (%d) and y (%d)", n, len(y))
@@ -80,25 +61,22 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 		return nil, errors.New("gp: zero feature dimension")
 	}
 
-	if n > p.MaxPoints {
+	if n > maxPoints {
 		rng := rand.New(rand.NewSource(p.Seed))
-		idx := rng.Perm(n)[:p.MaxPoints]
-		Xs := make([][]float64, p.MaxPoints)
-		ys := make([]float64, p.MaxPoints)
+		idx := rng.Perm(n)[:maxPoints]
+		Xs := make([][]float64, maxPoints)
+		ys := make([]float64, maxPoints)
 		for i, j := range idx {
 			Xs[i] = X[j]
 			ys[i] = y[j]
 		}
 		X, y = Xs, ys
-		n = p.MaxPoints
+		n = maxPoints
 	}
 
-	ls := p.LengthScale
+	ls := medianHeuristic(X)
 	if ls <= 0 {
-		ls = medianHeuristic(X)
-		if ls <= 0 {
-			ls = 1
-		}
+		ls = 1
 	}
 	ls2 := 2 * ls * ls
 
@@ -120,14 +98,14 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	// bit-identical for any worker count.
 	par.For(n, workers, func(i int) {
 		for j := i; j < n; j++ {
-			v := p.SignalVar * math.Exp(-linalg.Dist2(X[i], X[j])/ls2)
+			v := math.Exp(-linalg.Dist2(X[i], X[j]) / ls2)
 			K.Set(i, j, v)
 			K.Set(j, i, v)
 		}
 	})
 	var chol *linalg.Cholesky
 	var err error
-	jitter := p.NoiseVar
+	jitter := noiseVar
 	for attempt := 0; attempt < 6; attempt++ {
 		chol, err = linalg.NewCholesky(K, jitter)
 		if err == nil {
@@ -144,11 +122,10 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 		centered[i] = v - mean
 	}
 	return &Model{
-		params: p,
-		ls2:    ls2,
-		x:      X,
-		alpha:  chol.Solve(centered),
-		mean:   mean,
+		ls2:   ls2,
+		x:     X,
+		alpha: chol.Solve(centered),
+		mean:  mean,
 	}, nil
 }
 
@@ -156,16 +133,13 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 func (m *Model) Predict(x []float64) float64 {
 	s := m.mean
 	for i, xi := range m.x {
-		s += m.alpha[i] * m.params.SignalVar * math.Exp(-linalg.Dist2(x, xi)/m.ls2)
+		s += m.alpha[i] * math.Exp(-linalg.Dist2(x, xi)/m.ls2)
 	}
 	return s
 }
 
 // NumPoints returns the retained training-set size.
 func (m *Model) NumPoints() int { return len(m.x) }
-
-// LengthScale returns the fitted (or heuristic) kernel length scale.
-func (m *Model) LengthScale() float64 { return math.Sqrt(m.ls2 / 2) }
 
 // medianHeuristic returns the median pairwise Euclidean distance over a
 // bounded subsample of the inputs.

@@ -20,7 +20,7 @@ func makeData(n int, noise float64, seed int64) ([][]float64, []float64) {
 
 func TestGPInterpolates(t *testing.T) {
 	X, y := makeData(120, 0.01, 1)
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,27 +46,25 @@ func TestGPInterpolates(t *testing.T) {
 }
 
 func TestGPValidation(t *testing.T) {
-	if _, err := Train(nil, nil, DefaultParams()); err == nil {
+	if _, err := Train(nil, nil, Params{}); err == nil {
 		t.Fatal("empty data should error")
 	}
-	if _, err := Train([][]float64{{1}}, []float64{1, 2}, DefaultParams()); err == nil {
+	if _, err := Train([][]float64{{1}}, []float64{1, 2}, Params{}); err == nil {
 		t.Fatal("length mismatch should error")
 	}
-	if _, err := Train([][]float64{{}}, []float64{1}, DefaultParams()); err == nil {
+	if _, err := Train([][]float64{{}}, []float64{1}, Params{}); err == nil {
 		t.Fatal("zero features should error")
 	}
 }
 
 func TestGPSubsampling(t *testing.T) {
-	X, y := makeData(300, 0.05, 4)
-	p := DefaultParams()
-	p.MaxPoints = 100
-	m, err := Train(X, y, p)
+	X, y := makeData(500, 0.05, 4)
+	m, err := Train(X, y, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumPoints() != 100 {
-		t.Fatalf("retained %d points, want 100", m.NumPoints())
+	if m.NumPoints() != maxPoints {
+		t.Fatalf("retained %d points, want %d", m.NumPoints(), maxPoints)
 	}
 }
 
@@ -75,7 +73,7 @@ func TestGPDuplicateInputs(t *testing.T) {
 	// must still succeed through the jitter escalation.
 	X := [][]float64{{1, 1}, {1, 1}, {1, 1}, {2, 2}}
 	y := []float64{0.9, 1.1, 1.0, 3}
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,25 +89,12 @@ func TestGPConstantTarget(t *testing.T) {
 	for i := range y {
 		y[i] = 2.5
 	}
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Predict([]float64{9, 9}); math.Abs(got-2.5) > 0.1 {
 		t.Fatalf("constant target far prediction %v", got)
-	}
-}
-
-func TestGPExplicitLengthScale(t *testing.T) {
-	X, y := makeData(50, 0.01, 6)
-	p := DefaultParams()
-	p.LengthScale = 0.7
-	m, err := Train(X, y, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.LengthScale()-0.7) > 1e-9 {
-		t.Fatalf("length scale %v", m.LengthScale())
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 func TestGPTrainWorkerCountInvariance(t *testing.T) {
 	X, y := benchData(250, 6, 5)
 	pool, _ := benchData(64, 6, 6)
-	p := DefaultParams()
-	p.Workers = 1
+	p := Params{Workers: 1}
 	ref, err := Train(X, y, p)
 	if err != nil {
 		t.Fatalf("Train(workers=1): %v", err)

@@ -80,17 +80,3 @@ func ExtractTasksFused(fg *FusedGraph, opts ExtractOpts) []Task {
 	}
 	return tasks
 }
-
-// TotalTaskCount sums the number of tasks extracted (ConvOnly) across the
-// given models; the paper reports 58 across its five models.
-func TotalTaskCount(models []string, opts ExtractOpts) (int, error) {
-	total := 0
-	for _, m := range models {
-		g, err := Model(m)
-		if err != nil {
-			return 0, err
-		}
-		total += len(ExtractTasks(g, opts))
-	}
-	return total, nil
-}

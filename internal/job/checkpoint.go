@@ -1,7 +1,9 @@
 package job
 
 import (
+	"errors"
 	"fmt"
+	"os"
 
 	"repro/internal/sched"
 	"repro/internal/snap"
@@ -90,34 +92,40 @@ func (tc *Checkpoint) Validate(spec Spec) error {
 	return nil
 }
 
-// LoadCheckpoint returns the last complete checkpoint frame in path.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	tc := &Checkpoint{}
-	ok, err := ReadLast(path, CheckpointKind, tc)
-	if err != nil {
-		return nil, fmt.Errorf("reading checkpoint %s: %w", path, err)
+// LoadSnap parses the snap stream at path once and returns its latest
+// complete checkpoint frame and its terminal result frame, each nil when
+// the stream holds none. A missing or empty file (a crash before the first
+// frame) holds neither. Any other file that is not a snap stream is an
+// error: a record log dropped where the stream belongs must fail loudly
+// instead of reading as "no checkpoint" and silently restarting the job.
+// Torn final frames are tolerated (snap.ReadFile semantics).
+func LoadSnap(path string) (*Checkpoint, *Result, error) {
+	switch kind, err := snap.Detect(path); {
+	case errors.Is(err, os.ErrNotExist), err == nil && kind == snap.KindEmpty:
+		return nil, nil, nil
+	case err != nil:
+		return nil, nil, fmt.Errorf("job: reading %s: %w", path, err)
+	case kind != snap.KindSnap:
+		return nil, nil, fmt.Errorf("job: %s is a %s, not a checkpoint stream", path, kind)
 	}
-	if !ok {
-		return nil, fmt.Errorf("checkpoint %s holds no complete %q frame", path, CheckpointKind)
-	}
-	tc.Path = path
-	return tc, nil
-}
-
-// ReadLast decodes the latest complete frame of the given kind from the
-// snap stream at path into v, reporting whether one was found. Torn final
-// frames are tolerated (snap.ReadFile semantics).
-func ReadLast(path, kind string, v any) (bool, error) {
 	frames, err := snap.ReadFile(path)
 	if err != nil {
-		return false, err
+		return nil, nil, fmt.Errorf("job: reading %s: %w", path, err)
 	}
-	fr, ok := snap.Last(frames, kind)
-	if !ok {
-		return false, nil
+	var cp *Checkpoint
+	if fr, ok := snap.Last(frames, CheckpointKind); ok {
+		cp = &Checkpoint{}
+		if err := fr.Unmarshal(cp); err != nil {
+			return nil, nil, fmt.Errorf("job: decoding %s frame in %s: %w", CheckpointKind, path, err)
+		}
+		cp.Path = path
 	}
-	if err := fr.Unmarshal(v); err != nil {
-		return false, fmt.Errorf("decoding %s frame in %s: %w", kind, path, err)
+	var res *Result
+	if fr, ok := snap.Last(frames, ResultKind); ok {
+		res = &Result{}
+		if err := fr.Unmarshal(res); err != nil {
+			return nil, nil, fmt.Errorf("job: decoding %s frame in %s: %w", ResultKind, path, err)
+		}
 	}
-	return true, nil
+	return cp, res, nil
 }

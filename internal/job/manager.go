@@ -359,7 +359,7 @@ func (m *Manager) Recover() error {
 			return err
 		}
 		j := &managed{id: id, spec: spec, tail: newTail()}
-		res, err := m.store.LoadResult(id)
+		cp, res, err := LoadSnap(m.store.SnapPath(id))
 		if err != nil {
 			return err
 		}
@@ -370,10 +370,6 @@ func (m *Manager) Recover() error {
 			j.lazy = true
 			m.register(j)
 			continue
-		}
-		cp, err := m.store.LoadCheckpoint(id)
-		if err != nil {
-			return err
 		}
 		if cp != nil {
 			if err := cp.Validate(spec); err != nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/backend"
@@ -79,7 +81,7 @@ func TestManagerCrashResumeCheckpoint(t *testing.T) {
 		if !more {
 			t.Fatalf("job finished (after %d records) before the shutdown fired; raise the spec budget", seen)
 		}
-		if cp, err := store.LoadCheckpoint(id); err == nil && cp != nil && seen >= spec.PlanSize {
+		if cp, _, err := LoadSnap(store.SnapPath(id)); err == nil && cp != nil && seen >= spec.PlanSize {
 			break
 		}
 	}
@@ -91,10 +93,10 @@ func TestManagerCrashResumeCheckpoint(t *testing.T) {
 	if st := mustStatus(t, mgr1, id); st.State != StateQueued {
 		t.Fatalf("state after shutdown = %s, want queued (resumable)", st.State)
 	}
-	if res, err := store.LoadResult(id); res != nil || err != nil {
+	if _, res, err := LoadSnap(store.SnapPath(id)); res != nil || err != nil {
 		t.Fatalf("shutdown wrote a terminal frame: %+v, %v", res, err)
 	}
-	cp, err := store.LoadCheckpoint(id)
+	cp, _, err := LoadSnap(store.SnapPath(id))
 	if err != nil || cp == nil {
 		t.Fatalf("no checkpoint on disk after shutdown: %v", err)
 	}
@@ -220,7 +222,7 @@ func TestManagerFIFOAndCancel(t *testing.T) {
 	if st := mustStatus(t, mgr, "c"); st.State != StateCanceled {
 		t.Fatalf("job c = %s, want canceled", st.State)
 	}
-	if res, err := store.LoadResult("c"); err != nil || res == nil || res.State != StateCanceled {
+	if _, res, err := LoadSnap(store.SnapPath("c")); err != nil || res == nil || res.State != StateCanceled {
 		t.Fatalf("canceled queued job has no terminal frame: %+v, %v", res, err)
 	}
 	if ok, err := mgr.Cancel("c"); err != nil || ok {
@@ -309,6 +311,54 @@ func TestManagerSubmitValidation(t *testing.T) {
 	mgr.Close()
 	if _, err := mgr.Submit(Submit{ID: "late", Spec: tinySpec(3)}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestManagerRecoverClassifiesSnap pins how recovery reads a job's snap
+// stream: an empty job.snap (a crash before the first frame) recovers as a
+// fresh run that completes, and a record log where the stream belongs fails
+// recovery loudly instead of silently restarting the job.
+func TestManagerRecoverClassifiesSnap(t *testing.T) {
+	for _, tc := range []struct {
+		name, data string
+		wantErr    bool
+	}{
+		{"empty", "", false},
+		{"record-log", "{\"task\":\"t\"}\n", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Create("j", tinySpec(2040)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(store.SnapPath("j"), []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mgr := NewManagerWith(store, ManagerOptions{Concurrency: 1})
+			defer mgr.Close()
+			err = mgr.Recover()
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "not a checkpoint") {
+					t.Fatalf("Recover = %v, want a loud classification error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := mgr.Subscribe("j", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := drain(t, sub)
+			sub.Close()
+			if st := mustStatus(t, mgr, "j"); st.State != StateDone || st.Records != len(recs) || len(recs) == 0 {
+				t.Fatalf("recovered job = %+v after %d streamed records", st, len(recs))
+			}
+		})
 	}
 }
 

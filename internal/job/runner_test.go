@@ -79,7 +79,7 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("snap.Detect(checkpoint) = %v, %v", kind, err)
 	}
 
-	cp, err := LoadCheckpoint(cpPath)
+	cp, _, err := LoadSnap(cpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRunResumeRejectsMismatchedSpec(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v", err)
 	}
-	cp, err := LoadCheckpoint(cpPath)
+	cp, _, err := LoadSnap(cpPath)
 	if err != nil {
 		t.Fatal(err)
 	}

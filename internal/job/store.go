@@ -181,55 +181,6 @@ func (s *Store) LoadRecords(id string) ([]record.Record, error) {
 	return recs, nil
 }
 
-// LoadCheckpoint returns the job's latest complete checkpoint frame, or
-// nil when the job has none (no snap file yet, or no complete frame in
-// it).
-func (s *Store) LoadCheckpoint(id string) (*Checkpoint, error) {
-	path := s.SnapPath(id)
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	// Classify before parsing: an empty snap file (crash before the first
-	// frame) is "no checkpoint", while a foreign file dropped into the job
-	// directory must fail loudly instead of reading as an empty stream.
-	switch kind, err := snap.Detect(path); {
-	case err != nil:
-		return nil, err
-	case kind == snap.KindEmpty:
-		return nil, nil
-	case kind != snap.KindSnap:
-		return nil, fmt.Errorf("job: %s is a %s, not a checkpoint stream", path, kind)
-	}
-	tc := &Checkpoint{}
-	ok, err := ReadLast(path, CheckpointKind, tc)
-	if err != nil {
-		return nil, fmt.Errorf("job: reading checkpoint of %s: %w", id, err)
-	}
-	if !ok {
-		return nil, nil
-	}
-	tc.Path = path
-	return tc, nil
-}
-
-// LoadResult returns the job's terminal result frame, or nil when the job
-// has not finished.
-func (s *Store) LoadResult(id string) (*Result, error) {
-	path := s.SnapPath(id)
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	res := &Result{}
-	ok, err := ReadLast(path, ResultKind, res)
-	if err != nil {
-		return nil, fmt.Errorf("job: reading result of %s: %w", id, err)
-	}
-	if !ok {
-		return nil, nil
-	}
-	return res, nil
-}
-
 // AppendResult stamps the job's terminal frame onto its snap stream.
 func (s *Store) AppendResult(id string, res Result) error {
 	f, err := os.OpenFile(s.SnapPath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -75,24 +75,27 @@ func TestStoreLoadCheckpointClassifies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No snap file yet: no checkpoint, no error.
-	if cp, err := s.LoadCheckpoint("j1"); cp != nil || err != nil {
-		t.Fatalf("LoadCheckpoint with no file = %v, %v", cp, err)
+	// No snap file yet: no checkpoint, no result, no error.
+	if cp, res, err := LoadSnap(s.SnapPath("j1")); cp != nil || res != nil || err != nil {
+		t.Fatalf("LoadSnap with no file = %v, %v, %v", cp, res, err)
 	}
-	// Empty snap file (crash before the first frame): still no checkpoint.
+	// Empty snap file (crash before the first frame): still nothing.
 	if err := os.WriteFile(s.SnapPath("j1"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if cp, err := s.LoadCheckpoint("j1"); cp != nil || err != nil {
-		t.Fatalf("LoadCheckpoint on empty file = %v, %v", cp, err)
+	if cp, res, err := LoadSnap(s.SnapPath("j1")); cp != nil || res != nil || err != nil {
+		t.Fatalf("LoadSnap on empty file = %v, %v, %v", cp, res, err)
 	}
-	// A record log dropped where the snap stream belongs must fail loudly,
-	// not read as "no checkpoint" and silently restart the job.
-	if err := os.WriteFile(s.SnapPath("j1"), []byte("{\"task\":\"t\"}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadCheckpoint("j1"); err == nil || !strings.Contains(err.Error(), "not a checkpoint") {
-		t.Fatalf("LoadCheckpoint on a record log = %v, want a loud classification error", err)
+	// A record log or garbage dropped where the snap stream belongs must
+	// fail loudly, not read as "no checkpoint" and silently restart the
+	// job.
+	for _, foreign := range []string{"{\"task\":\"t\"}\n", "garbage\nmore\n"} {
+		if err := os.WriteFile(s.SnapPath("j1"), []byte(foreign), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadSnap(s.SnapPath("j1")); err == nil || !strings.Contains(err.Error(), "not a checkpoint") {
+			t.Fatalf("LoadSnap on %q = %v, want a loud classification error", foreign, err)
+		}
 	}
 
 	// A real frame round-trips.
@@ -107,18 +110,28 @@ func TestStoreLoadCheckpointClassifies(t *testing.T) {
 	if err := sf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := s.LoadCheckpoint("j1")
+	cp, res, err := LoadSnap(s.SnapPath("j1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp == nil || cp.Records != 3 || cp.Sched == nil || cp.Sched.Round != 2 {
-		t.Fatalf("LoadCheckpoint = %+v", cp)
+	if cp == nil || cp.Records != 3 || cp.Sched == nil || cp.Sched.Round != 2 || res != nil {
+		t.Fatalf("LoadSnap = %+v, %+v", cp, res)
 	}
 	if cp.Path != s.SnapPath("j1") {
 		t.Errorf("checkpoint Path = %q, want the snap path", cp.Path)
 	}
 	if err := cp.Validate(spec); err != nil {
 		t.Errorf("round-tripped checkpoint fails Validate: %v", err)
+	}
+
+	// A finished job's stream ends in its result frame; the one read
+	// returns both frames.
+	if err := s.AppendResult("j1", Result{State: StateDone, Records: 3}); err != nil {
+		t.Fatal(err)
+	}
+	cp, res, err = LoadSnap(s.SnapPath("j1"))
+	if err != nil || cp == nil || cp.Records != 3 || res == nil || res.State != StateDone {
+		t.Fatalf("LoadSnap after the result frame = %+v, %+v, %v", cp, res, err)
 	}
 }
 
@@ -131,20 +144,20 @@ func TestStoreResultRoundTrip(t *testing.T) {
 	if err := s.Create("j1", spec); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := s.LoadResult("j1"); res != nil || err != nil {
-		t.Fatalf("LoadResult before finish = %v, %v", res, err)
+	if _, res, err := LoadSnap(s.SnapPath("j1")); res != nil || err != nil {
+		t.Fatalf("LoadSnap before finish = %v, %v", res, err)
 	}
 	in := Result{State: StateDone, LatencyMS: 1.5, Variance: 0.25, TotalMeasurements: 48,
 		Records: 48, Tasks: []TaskResult{{Name: "t0", GFLOPS: 10, Measurements: 48}}}
 	if err := s.AppendResult("j1", in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.LoadResult("j1")
+	_, out, err := LoadSnap(s.SnapPath("j1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out == nil || out.State != StateDone || out.Records != 48 || len(out.Tasks) != 1 || out.Tasks[0].GFLOPS != 10 {
-		t.Fatalf("LoadResult = %+v", out)
+		t.Fatalf("LoadSnap result = %+v", out)
 	}
 }
 

@@ -16,35 +16,27 @@ type Series struct {
 	Values []float64
 }
 
-// LineChart renders series as an ASCII chart of the given size. The x axis
-// is the sample index (all series should share it); the y axis is scaled to
-// the global min/max. Each series draws with its own marker; later series
+// The line chart's plot area and markers (one per series, cycling), and
+// the bar chart's maximum bar width.
+const (
+	lineWidth   = 72
+	lineHeight  = 18
+	lineMarkers = "o*x+#@"
+	barWidth    = 50
+)
+
+// LineChart renders series as a 72x18 ASCII chart. The x axis is the
+// sample index (all series should share it); the y axis is scaled to the
+// global min/max. Each series draws with its own marker; later series
 // overwrite earlier ones on collisions.
 type LineChart struct {
-	Title   string
-	Width   int // plot columns (default 72)
-	Height  int // plot rows (default 18)
-	YLabel  string
-	XLabel  string
-	Markers string // one marker rune per series (default "o*x+#@")
+	Title  string
+	XLabel string
 }
 
 // Render writes the chart. The first write error is returned (writes are
 // buffered, so it surfaces from the final flush).
 func (lc LineChart) Render(w io.Writer, series []Series) error {
-	width := lc.Width
-	if width <= 0 {
-		width = 72
-	}
-	height := lc.Height
-	if height <= 0 {
-		height = 18
-	}
-	markers := lc.Markers
-	if markers == "" {
-		markers = "o*x+#@"
-	}
-
 	lo, hi := math.Inf(1), math.Inf(-1)
 	maxLen := 0
 	for _, s := range series {
@@ -70,24 +62,24 @@ func (lc LineChart) Render(w io.Writer, series []Series) error {
 		hi = lo + 1
 	}
 
-	grid := make([][]byte, height)
+	grid := make([][]byte, lineHeight)
 	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
+		grid[i] = []byte(strings.Repeat(" ", lineWidth))
 	}
 	for si, s := range series {
-		mk := markers[si%len(markers)]
+		mk := lineMarkers[si%len(lineMarkers)]
 		for j, v := range s.Values {
 			x := 0
 			if maxLen > 1 {
-				x = j * (width - 1) / (maxLen - 1)
+				x = j * (lineWidth - 1) / (maxLen - 1)
 			}
 			yFrac := (v - lo) / (hi - lo)
-			y := height - 1 - int(yFrac*float64(height-1)+0.5)
+			y := lineHeight - 1 - int(yFrac*float64(lineHeight-1)+0.5)
 			if y < 0 {
 				y = 0
 			}
-			if y >= height {
-				y = height - 1
+			if y >= lineHeight {
+				y = lineHeight - 1
 			}
 			grid[y][x] = mk
 		}
@@ -102,20 +94,20 @@ func (lc LineChart) Render(w io.Writer, series []Series) error {
 		switch i {
 		case 0:
 			label = fmt.Sprintf("%.4g", hi)
-		case height - 1:
+		case lineHeight - 1:
 			label = fmt.Sprintf("%.4g", lo)
-		case height / 2:
+		case lineHeight / 2:
 			label = fmt.Sprintf("%.4g", (hi+lo)/2)
 		}
 		fmt.Fprintf(&b, "%*s |%s\n", yw, label, string(row))
 	}
-	fmt.Fprintf(&b, "%*s +%s\n", yw, "", strings.Repeat("-", width))
+	fmt.Fprintf(&b, "%*s +%s\n", yw, "", strings.Repeat("-", lineWidth))
 	if lc.XLabel != "" {
 		fmt.Fprintf(&b, "%*s  %s\n", yw, "", lc.XLabel)
 	}
 	var legend []string
 	for si, s := range series {
-		legend = append(legend, fmt.Sprintf("%c=%s", markers[si%len(markers)], s.Name))
+		legend = append(legend, fmt.Sprintf("%c=%s", lineMarkers[si%len(lineMarkers)], s.Name))
 	}
 	fmt.Fprintf(&b, "%*s  legend: %s\n", yw, "", strings.Join(legend, "  "))
 	return flush(w, &b)
@@ -127,19 +119,15 @@ func flush(w io.Writer, b *strings.Builder) error {
 	return err
 }
 
-// BarChart renders a horizontal bar chart of labeled values.
+// BarChart renders a horizontal bar chart of labeled values; the largest
+// magnitude gets a 50-column bar.
 type BarChart struct {
 	Title string
-	Width int // maximum bar width (default 50)
 }
 
 // Render writes the chart. Negative values draw leftward annotations. The
 // first write error is returned.
 func (bc BarChart) Render(w io.Writer, labels []string, values []float64) error {
-	width := bc.Width
-	if width <= 0 {
-		width = 50
-	}
 	var b strings.Builder
 	if bc.Title != "" {
 		fmt.Fprintln(&b, bc.Title)
@@ -158,36 +146,9 @@ func (bc BarChart) Render(w io.Writer, labels []string, values []float64) error 
 		maxAbs = 1
 	}
 	for i, v := range values {
-		n := int(math.Abs(v) / maxAbs * float64(width))
+		n := int(math.Abs(v) / maxAbs * barWidth)
 		bar := strings.Repeat("#", n)
 		fmt.Fprintf(&b, "%-*s %10.3f |%s\n", maxLabel, labels[i], v, bar)
 	}
 	return flush(w, &b)
-}
-
-// Sparkline returns a one-line unicode sparkline of the values.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	ramp := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	//lint:ignore floateq lo and hi are exact copies of input samples; equality detects a flat series
-	if hi == lo {
-		return strings.Repeat(string(ramp[0]), len(values))
-	}
-	var b strings.Builder
-	for _, v := range values {
-		idx := int((v - lo) / (hi - lo) * float64(len(ramp)-1))
-		b.WriteRune(ramp[idx])
-	}
-	return b.String()
 }

@@ -8,7 +8,7 @@ import (
 
 func TestLineChartRenders(t *testing.T) {
 	var buf bytes.Buffer
-	lc := LineChart{Title: "test chart", Width: 40, Height: 10, XLabel: "#configs"}
+	lc := LineChart{Title: "test chart", XLabel: "#configs"}
 	lc.Render(&buf, []Series{
 		{Name: "a", Values: []float64{1, 2, 3, 4, 5}},
 		{Name: "b", Values: []float64{5, 4, 3, 2, 1}},
@@ -27,7 +27,7 @@ func TestLineChartRenders(t *testing.T) {
 		t.Fatal("missing y-axis bounds")
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 1+10+1+1+1 { // title + rows + axis + xlabel + legend
+	if len(lines) != 1+lineHeight+1+1+1 { // title + rows + axis + xlabel + legend
 		t.Fatalf("unexpected line count %d", len(lines))
 	}
 }
@@ -42,7 +42,7 @@ func TestLineChartEmpty(t *testing.T) {
 
 func TestLineChartConstantSeries(t *testing.T) {
 	var buf bytes.Buffer
-	LineChart{Width: 10, Height: 4}.Render(&buf, []Series{{Name: "c", Values: []float64{3, 3, 3}}})
+	LineChart{}.Render(&buf, []Series{{Name: "c", Values: []float64{3, 3, 3}}})
 	if buf.Len() == 0 {
 		t.Fatal("constant series should render")
 	}
@@ -50,7 +50,7 @@ func TestLineChartConstantSeries(t *testing.T) {
 
 func TestLineChartSinglePoint(t *testing.T) {
 	var buf bytes.Buffer
-	LineChart{Width: 10, Height: 4}.Render(&buf, []Series{{Name: "p", Values: []float64{7}}})
+	LineChart{}.Render(&buf, []Series{{Name: "p", Values: []float64{7}}})
 	if !strings.Contains(buf.String(), "o") {
 		t.Fatal("single point should draw a marker")
 	}
@@ -58,14 +58,14 @@ func TestLineChartSinglePoint(t *testing.T) {
 
 func TestBarChart(t *testing.T) {
 	var buf bytes.Buffer
-	BarChart{Title: "bars", Width: 20}.Render(&buf, []string{"x", "yy"}, []float64{-10, 5})
+	BarChart{Title: "bars"}.Render(&buf, []string{"x", "yy"}, []float64{-10, 5})
 	out := buf.String()
 	if !strings.Contains(out, "bars") || !strings.Contains(out, "##") {
 		t.Fatalf("bar chart output wrong:\n%s", out)
 	}
 	// The larger magnitude gets the full width.
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "x ") && strings.Count(line, "#") != 20 {
+		if strings.HasPrefix(line, "x ") && strings.Count(line, "#") != barWidth {
 			t.Fatalf("dominant bar not full width: %q", line)
 		}
 	}
@@ -76,23 +76,5 @@ func TestBarChartAllZero(t *testing.T) {
 	BarChart{}.Render(&buf, []string{"z"}, []float64{0})
 	if !strings.Contains(buf.String(), "z") {
 		t.Fatal("zero bars should still list labels")
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 1, 2, 3})
-	if len([]rune(s)) != 4 {
-		t.Fatalf("sparkline length %d", len([]rune(s)))
-	}
-	if Sparkline(nil) != "" {
-		t.Fatal("empty sparkline should be empty")
-	}
-	flat := Sparkline([]float64{2, 2})
-	if len([]rune(flat)) != 2 || []rune(flat)[0] != []rune(flat)[1] {
-		t.Fatalf("flat sparkline wrong: %q", flat)
-	}
-	rs := []rune(Sparkline([]float64{0, 10}))
-	if rs[0] >= rs[1] {
-		t.Fatal("rising sparkline should rise")
 	}
 }

@@ -181,7 +181,7 @@ func TestTable1StoreResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := store.LoadResult(id)
+	_, stored, err := job.LoadSnap(store.SnapPath(id))
 	if err != nil || stored == nil {
 		t.Fatalf("stored result of %s: %v (err %v)", id, stored, err)
 	}
@@ -247,7 +247,7 @@ func TestTable1StoreResume(t *testing.T) {
 	if n := countContaining(lines, "resuming from its checkpoint"); n != 1 {
 		t.Fatalf("%d cells resumed, want 1 (progress: %q)", n, lines)
 	}
-	if res, err := store.LoadResult(id); err != nil || res == nil {
+	if _, res, err := job.LoadSnap(store.SnapPath(id)); err != nil || res == nil {
 		t.Fatalf("%s has no result frame after the resume (err %v)", id, err)
 	}
 }

@@ -14,35 +14,14 @@ import (
 	"sort"
 )
 
-// Params configures forest training.
-type Params struct {
-	NumTrees    int     // ensemble size (default 40)
-	MaxDepth    int     // tree depth cap (default 10)
-	MinLeaf     int     // minimum samples per leaf (default 2)
-	FeatureFrac float64 // features tried per split, fraction of total (default 1/3)
-	Seed        int64
-}
-
-// DefaultParams returns standard regression-forest settings.
-func DefaultParams() Params {
-	return Params{NumTrees: 40, MaxDepth: 10, MinLeaf: 2, FeatureFrac: 1.0 / 3}
-}
-
-func (p Params) validate() error {
-	if p.NumTrees <= 0 {
-		return errors.New("rf: NumTrees must be positive")
-	}
-	if p.MaxDepth <= 0 {
-		return errors.New("rf: MaxDepth must be positive")
-	}
-	if p.MinLeaf <= 0 {
-		return errors.New("rf: MinLeaf must be positive")
-	}
-	if p.FeatureFrac <= 0 || p.FeatureFrac > 1 {
-		return errors.New("rf: FeatureFrac must be in (0, 1]")
-	}
-	return nil
-}
+// The forest's fixed settings, sized for the per-step BAO loop.
+const (
+	numTrees = 24 // ensemble size
+	maxDepth = 8  // tree depth cap
+	minLeaf  = 2  // minimum samples per leaf
+	// featureFrac is the fraction of features tried per split.
+	featureFrac float64 = 1.0 / 3
+)
 
 type node struct {
 	feature   int // -1 for leaves
@@ -91,11 +70,9 @@ func (m *Model) Predict(x []float64) float64 {
 	return s / float64(len(m.trees))
 }
 
-// Train fits a random forest to (X, y).
-func Train(X [][]float64, y []float64, p Params) (*Model, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
+// Train fits a random forest to (X, y); seed drives the bootstrap
+// resamples and the per-split feature draws.
+func Train(X [][]float64, y []float64, seed int64) (*Model, error) {
 	n := len(X)
 	if n == 0 || len(y) != n {
 		return nil, fmt.Errorf("rf: need matching non-empty X (%d) and y (%d)", n, len(y))
@@ -110,22 +87,22 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	m := &Model{nfeat: nfeat}
-	mtry := int(math.Ceil(p.FeatureFrac * float64(nfeat)))
-	for t := 0; t < p.NumTrees; t++ {
+	mtry := int(math.Ceil(featureFrac * float64(nfeat)))
+	for t := 0; t < numTrees; t++ {
 		rows := make([]int, n)
 		for i := range rows {
 			rows[i] = rng.Intn(n)
 		}
-		m.trees = append(m.trees, growCART(X, y, rows, mtry, p, rng))
+		m.trees = append(m.trees, growCART(X, y, rows, mtry, rng))
 	}
 	return m, nil
 }
 
 // growCART builds one tree on a bootstrap sample with variance-reduction
 // splits over mtry random features.
-func growCART(X [][]float64, y []float64, rows []int, mtry int, p Params, rng *rand.Rand) cart {
+func growCART(X [][]float64, y []float64, rows []int, mtry int, rng *rand.Rand) cart {
 	t := cart{}
 	nfeat := len(X[0])
 	var build func(rows []int, depth int) int32
@@ -137,7 +114,7 @@ func growCART(X [][]float64, y []float64, rows []int, mtry int, p Params, rng *r
 		mean /= float64(len(rows))
 		id := int32(len(t.nodes))
 		t.nodes = append(t.nodes, node{feature: -1, value: mean})
-		if depth >= p.MaxDepth || len(rows) < 2*p.MinLeaf {
+		if depth >= maxDepth || len(rows) < 2*minLeaf {
 			return id
 		}
 
@@ -179,7 +156,7 @@ func growCART(X [][]float64, y []float64, rows []int, mtry int, p Params, rng *r
 					continue // no valid threshold between equal values
 				}
 				nR := nT - nL
-				if nL < float64(p.MinLeaf) || nR < float64(p.MinLeaf) {
+				if nL < minLeaf || nR < minLeaf {
 					continue
 				}
 				sumR := sumT - sumL

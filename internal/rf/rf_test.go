@@ -29,11 +29,11 @@ func mse(m *Model, X [][]float64, y []float64) float64 {
 
 func TestForestLearns(t *testing.T) {
 	X, y := makeData(600, 0.1, 1)
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumTrees() != DefaultParams().NumTrees {
+	if m.NumTrees() != numTrees {
 		t.Fatalf("trees = %d", m.NumTrees())
 	}
 	varY := 0.0
@@ -58,40 +58,27 @@ func TestForestLearns(t *testing.T) {
 func TestForestValidation(t *testing.T) {
 	X := [][]float64{{1}, {2}}
 	y := []float64{1, 2}
-	if _, err := Train(nil, nil, DefaultParams()); err == nil {
+	if _, err := Train(nil, nil, 0); err == nil {
 		t.Fatal("empty should error")
 	}
-	if _, err := Train(X, []float64{1}, DefaultParams()); err == nil {
+	if _, err := Train(X, []float64{1}, 0); err == nil {
 		t.Fatal("mismatch should error")
 	}
-	if _, err := Train([][]float64{{}, {}}, y, DefaultParams()); err == nil {
+	if _, err := Train([][]float64{{}, {}}, y, 0); err == nil {
 		t.Fatal("zero features should error")
 	}
-	if _, err := Train([][]float64{{1}, {2, 3}}, y, DefaultParams()); err == nil {
+	if _, err := Train([][]float64{{1}, {2, 3}}, y, 0); err == nil {
 		t.Fatal("ragged should error")
-	}
-	for _, bad := range []Params{
-		{NumTrees: 0, MaxDepth: 5, MinLeaf: 1, FeatureFrac: 0.5},
-		{NumTrees: 5, MaxDepth: 0, MinLeaf: 1, FeatureFrac: 0.5},
-		{NumTrees: 5, MaxDepth: 5, MinLeaf: 0, FeatureFrac: 0.5},
-		{NumTrees: 5, MaxDepth: 5, MinLeaf: 1, FeatureFrac: 0},
-		{NumTrees: 5, MaxDepth: 5, MinLeaf: 1, FeatureFrac: 2},
-	} {
-		if _, err := Train(X, y, bad); err == nil {
-			t.Fatalf("params %+v should error", bad)
-		}
 	}
 }
 
 func TestForestDeterministic(t *testing.T) {
 	X, y := makeData(200, 0.1, 3)
-	p := DefaultParams()
-	p.Seed = 9
-	a, err := Train(X, y, p)
+	a, err := Train(X, y, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(X, y, p)
+	b, err := Train(X, y, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +95,7 @@ func TestForestConstantTarget(t *testing.T) {
 	for i := range y {
 		y[i] = 4.2
 	}
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +106,7 @@ func TestForestConstantTarget(t *testing.T) {
 
 func TestForestPredictPanicsOnDim(t *testing.T) {
 	X, y := makeData(50, 0, 6)
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +119,16 @@ func TestForestPredictPanicsOnDim(t *testing.T) {
 }
 
 func TestForestMinLeafRespected(t *testing.T) {
-	X, y := makeData(100, 0.1, 7)
-	p := DefaultParams()
-	p.MinLeaf = 30
-	m, err := Train(X, y, p)
+	// Three rows cannot split into two leaves of minLeaf (2) rows each, so
+	// every tree is a single leaf.
+	X, y := makeData(3, 0.1, 7)
+	m, err := Train(X, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With MinLeaf 30 on 100 rows, trees are very shallow: count nodes.
 	for _, tr := range m.trees {
-		if len(tr.nodes) > 15 {
-			t.Fatalf("tree has %d nodes despite MinLeaf 30", len(tr.nodes))
+		if len(tr.nodes) != 1 {
+			t.Fatalf("tree has %d nodes on 3 rows despite minLeaf %d", len(tr.nodes), minLeaf)
 		}
 	}
 }
@@ -150,7 +136,7 @@ func TestForestMinLeafRespected(t *testing.T) {
 func TestForestDuplicateRows(t *testing.T) {
 	X := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	y := []float64{1, 2, 3, 4}
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

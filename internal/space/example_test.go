@@ -44,7 +44,7 @@ func ExampleSpace_Neighborhood() {
 	)
 	center, _ := sp.FromIndices([]int{3, 3})
 	rng := rand.New(rand.NewSource(1))
-	nb := sp.Neighborhood(center, 1.5, space.NeighborhoodOpts{}, rng)
+	nb := sp.Neighborhood(center, 1.5, space.NeighborhoodOpts{MaxCandidates: 8192}, rng)
 	fmt.Println("neighbors:", len(nb))
 	// Output:
 	// neighbors: 8

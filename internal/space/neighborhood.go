@@ -9,7 +9,7 @@ import (
 
 // NeighborhoodOpts tunes Neighborhood enumeration.
 type NeighborhoodOpts struct {
-	// MaxCandidates caps the returned set; 0 means DefaultMaxCandidates.
+	// MaxCandidates caps the returned set; a cap <= 0 returns nothing.
 	// When the exact lattice ball holds more points than the cap, a uniform
 	// subsample of the ball is returned instead of a truncated enumeration.
 	MaxCandidates int
@@ -17,12 +17,6 @@ type NeighborhoodOpts struct {
 	// already-measured set), keeping BAO from re-proposing known points.
 	Exclude map[uint64]bool
 }
-
-// DefaultMaxCandidates caps a Neighborhood call that leaves MaxCandidates
-// at 0; tests and examples rely on it. BAO does not: active.BAOParams
-// normalizes its own per-step cap to 2048, which keeps the Γ-fold
-// surrogate evaluation of a step in the milliseconds.
-const DefaultMaxCandidates = 8192
 
 // Neighborhood returns the configurations whose knob-index vectors lie
 // within Euclidean distance radius of center (excluding center itself),
@@ -44,12 +38,9 @@ const DefaultMaxCandidates = 8192
 // part of the contract: tuner snapshots restore an rng by replaying its
 // counted draws, and the golden stream hashes pin it.
 func (s *Space) Neighborhood(center Config, radius float64, opts NeighborhoodOpts, rng *rand.Rand) []Config {
-	if radius <= 0 {
-		return nil
-	}
 	maxCand := opts.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = DefaultMaxCandidates
+	if radius <= 0 || maxCand <= 0 {
+		return nil
 	}
 	r2 := radius * radius
 	dim := len(s.knobs)

@@ -46,7 +46,7 @@ func TestNeighborhoodExact(t *testing.T) {
 	)
 	center, _ := s.FromIndices([]int{5, 5})
 	rng := rand.New(rand.NewSource(1))
-	got := s.Neighborhood(center, 1.5, NeighborhoodOpts{}, rng)
+	got := s.Neighborhood(center, 1.5, NeighborhoodOpts{MaxCandidates: 8192}, rng)
 	// r=1.5 in 2-D: offsets with d2 <= 2.25: the 8-neighborhood.
 	if len(got) != 8 {
 		t.Fatalf("neighborhood size = %d, want 8", len(got))
@@ -63,7 +63,7 @@ func TestNeighborhoodClamping(t *testing.T) {
 	s := New(NewEnumKnob("a", 0, 1, 2), NewEnumKnob("b", 0, 1, 2))
 	corner, _ := s.FromIndices([]int{0, 0})
 	rng := rand.New(rand.NewSource(1))
-	got := s.Neighborhood(corner, 1.5, NeighborhoodOpts{}, rng)
+	got := s.Neighborhood(corner, 1.5, NeighborhoodOpts{MaxCandidates: 8192}, rng)
 	// Only offsets into the valid quadrant survive: (0,1),(1,0),(1,1).
 	if len(got) != 3 {
 		t.Fatalf("corner neighborhood = %d, want 3", len(got))
@@ -74,12 +74,12 @@ func TestNeighborhoodExclude(t *testing.T) {
 	s := New(NewEnumKnob("a", 0, 1, 2, 3, 4), NewEnumKnob("b", 0, 1, 2, 3, 4))
 	center, _ := s.FromIndices([]int{2, 2})
 	rng := rand.New(rand.NewSource(1))
-	all := s.Neighborhood(center, 1.0, NeighborhoodOpts{}, rng)
+	all := s.Neighborhood(center, 1.0, NeighborhoodOpts{MaxCandidates: 8192}, rng)
 	if len(all) != 4 {
 		t.Fatalf("r=1 neighborhood = %d, want 4", len(all))
 	}
 	ex := map[uint64]bool{all[0].Flat(): true}
-	got := s.Neighborhood(center, 1.0, NeighborhoodOpts{Exclude: ex}, rng)
+	got := s.Neighborhood(center, 1.0, NeighborhoodOpts{MaxCandidates: 8192, Exclude: ex}, rng)
 	if len(got) != 3 {
 		t.Fatalf("excluded neighborhood = %d, want 3", len(got))
 	}
@@ -88,8 +88,11 @@ func TestNeighborhoodExclude(t *testing.T) {
 func TestNeighborhoodZeroRadius(t *testing.T) {
 	s := testSpace()
 	rng := rand.New(rand.NewSource(1))
-	if got := s.Neighborhood(s.FromFlat(0), 0, NeighborhoodOpts{}, rng); got != nil {
+	if got := s.Neighborhood(s.FromFlat(0), 0, NeighborhoodOpts{MaxCandidates: 8192}, rng); got != nil {
 		t.Fatal("zero radius should return nil")
+	}
+	if got := s.Neighborhood(s.FromFlat(0), 2, NeighborhoodOpts{}, rng); got != nil {
+		t.Fatal("zero candidate cap should return nil")
 	}
 }
 
@@ -153,8 +156,8 @@ func TestNeighborhoodLargeRadiusSampled(t *testing.T) {
 func TestNeighborhoodDeterministicEnumeration(t *testing.T) {
 	s := New(NewEnumKnob("a", 0, 1, 2, 3, 4, 5, 6), NewEnumKnob("b", 0, 1, 2, 3, 4, 5, 6))
 	center, _ := s.FromIndices([]int{3, 3})
-	a := s.Neighborhood(center, 2, NeighborhoodOpts{}, rand.New(rand.NewSource(1)))
-	b := s.Neighborhood(center, 2, NeighborhoodOpts{}, rand.New(rand.NewSource(99)))
+	a := s.Neighborhood(center, 2, NeighborhoodOpts{MaxCandidates: 8192}, rand.New(rand.NewSource(1)))
+	b := s.Neighborhood(center, 2, NeighborhoodOpts{MaxCandidates: 8192}, rand.New(rand.NewSource(99)))
 	if len(a) != len(b) {
 		t.Fatal("enumerated neighborhoods differ in size")
 	}

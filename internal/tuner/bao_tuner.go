@@ -18,8 +18,8 @@ type AdvancedTuner struct {
 	// BTED configures the initialization (zero value = paper defaults).
 	BTED active.BTEDParams
 	// BAO configures the iterative stage (zero value = paper defaults:
-	// eta 0.05, Gamma 2, tau 1.5, R 3). The run's budget and early
-	// stopping come from the Options, as for every tuner.
+	// Gamma 2, tau 1.5, R 3; eta is fixed at 0.05). The run's budget and
+	// early stopping come from the Options, as for every tuner.
 	BAO active.BAOParams
 	// Trainer builds the bootstrap evaluation functions; nil selects the
 	// XGBoost trainer.

@@ -121,17 +121,16 @@ func gcd(a, b uint64) uint64 {
 	return a
 }
 
+// The genetic algorithm's fixed settings; the population size is PlanSize.
+const (
+	gaEliteFrac  = 0.5 // survivor fraction per generation
+	gaMutateProb = 0.1 // per-knob mutation probability
+)
+
 // GATuner is a genetic-algorithm baseline in the spirit of AutoTVM's
 // GATuner: tournament-free elitism with uniform knob crossover and
 // per-knob mutation.
-type GATuner struct {
-	// PopSize is the population size (defaults to PlanSize).
-	PopSize int
-	// EliteFrac is the survivor fraction per generation (default 0.5).
-	EliteFrac float64
-	// MutateProb is the per-knob mutation probability (default 0.1).
-	MutateProb float64
-}
+type GATuner struct{}
 
 // Name implements Tuner.
 func (GATuner) Name() string { return "ga" }
@@ -140,15 +139,7 @@ func (GATuner) Name() string { return "ga" }
 // later step plans and measures one generation.
 func (g GATuner) Open(task *Task, b backend.Backend, opts Options, st *SessionState) (*Session, error) {
 	opts = opts.normalized()
-	if g.PopSize <= 0 {
-		g.PopSize = opts.PlanSize
-	}
-	if g.EliteFrac <= 0 || g.EliteFrac > 1 {
-		g.EliteFrac = 0.5
-	}
-	if g.MutateProb <= 0 || g.MutateProb > 1 {
-		g.MutateProb = 0.1
-	}
+	pop := opts.PlanSize
 	s, err := openSession(g.Name(), task, b, opts, st)
 	if err != nil {
 		return nil, err
@@ -164,14 +155,14 @@ func (g GATuner) Open(task *Task, b backend.Backend, opts Options, st *SessionSt
 		}
 		if !ex.Inited {
 			ex.Inited = true
-			s.measureBatch(ctx, task.Space.RandomSample(g.PopSize, rng))
+			s.measureBatch(ctx, task.Space.RandomSample(pop, rng))
 			return s.exhausted(ctx)
 		}
 		before := len(s.samples)
 		// Rank all known samples (including resumed ones) by fitness.
 		scored := s.knowledge()
 		sort.SliceStable(scored, func(i, j int) bool { return fitness(scored[i]) > fitness(scored[j]) })
-		eliteN := int(g.EliteFrac * float64(g.PopSize))
+		eliteN := int(gaEliteFrac * float64(pop))
 		if eliteN < 2 {
 			eliteN = 2
 		}
@@ -181,13 +172,13 @@ func (g GATuner) Open(task *Task, b backend.Backend, opts Options, st *SessionSt
 		elite := scored[:eliteN]
 
 		// Plan the whole generation serially, then measure it as one batch.
-		batch := make([]space.Config, 0, g.PopSize)
-		planned := make(map[uint64]bool, g.PopSize)
-		for i := 0; i < g.PopSize; i++ {
+		batch := make([]space.Config, 0, pop)
+		planned := make(map[uint64]bool, pop)
+		for i := 0; i < pop; i++ {
 			pa := elite[rng.Intn(len(elite))].Config
 			pb := elite[rng.Intn(len(elite))].Config
 			child := crossover(task.Space, pa, pb, rng)
-			mutateKnobs(task.Space, child, g.MutateProb, rng)
+			mutateKnobs(task.Space, child, rng)
 			f := child.Flat()
 			if s.visited[f] || planned[f] {
 				c, ok := s.randomUnvisited(rng, planned)
@@ -227,10 +218,11 @@ func crossover(sp *space.Space, a, b space.Config, rng *rand.Rand) space.Config 
 	return child
 }
 
-// mutateKnobs reassigns each knob to a random option with probability p.
-func mutateKnobs(sp *space.Space, c space.Config, p float64, rng *rand.Rand) {
+// mutateKnobs reassigns each knob to a random option with probability
+// gaMutateProb.
+func mutateKnobs(sp *space.Space, c space.Config, rng *rand.Rand) {
 	for i := range c.Index {
-		if rng.Float64() < p {
+		if rng.Float64() < gaMutateProb {
 			c.Index[i] = rng.Intn(sp.Knob(i).Len())
 		}
 	}

@@ -22,21 +22,20 @@ import (
 // paper under reproduction explicitly declines to re-implement that ("too
 // difficult to implement and train"), and its measurable delta comes from
 // the adaptive sampling, which is what this baseline keeps.
-type ChameleonTuner struct {
-	// Inner carries the cost-model machinery (init strategy, XGB, SA).
-	Inner ModelTuner
-	// ProposalFactor scales how many candidates are proposed per round
-	// relative to PlanSize before clustering shrinks them (default 4).
-	ProposalFactor int
-	// MeasureFrac is the fraction of PlanSize actually measured per round
-	// after clustering (default 0.5).
-	MeasureFrac float64
-}
+type ChameleonTuner struct{}
 
-// NewChameleon returns the baseline with its defaults.
-func NewChameleon() *ChameleonTuner {
-	return &ChameleonTuner{ProposalFactor: 4, MeasureFrac: 0.5}
-}
+// The baseline's fixed ratios.
+const (
+	// chameleonProposalFactor scales how many candidates are proposed per
+	// round relative to PlanSize before clustering shrinks them.
+	chameleonProposalFactor = 4
+	// chameleonMeasureFrac is the fraction of PlanSize actually measured
+	// per round after clustering.
+	chameleonMeasureFrac = 0.5
+)
+
+// NewChameleon returns the baseline.
+func NewChameleon() *ChameleonTuner { return &ChameleonTuner{} }
 
 // Name implements Tuner.
 func (*ChameleonTuner) Name() string { return "chameleon" }
@@ -51,15 +50,9 @@ func (t *ChameleonTuner) Open(task *Task, b backend.Backend, opts Options, st *S
 		return nil, err
 	}
 	rng := s.src.Rand()
-
-	pf := t.ProposalFactor
-	if pf <= 0 {
-		pf = 4
-	}
-	mf := t.MeasureFrac
-	if mf <= 0 || mf > 1 {
-		mf = 0.5
-	}
+	// The cost model autotvm trains (squared-error objective).
+	var costModel ModelTuner
+	measureN := int(chameleonMeasureFrac * float64(opts.PlanSize))
 
 	ex := &initedState{}
 	if err := unmarshalExtra(st, ex); err != nil {
@@ -75,18 +68,18 @@ func (t *ChameleonTuner) Open(task *Task, b backend.Backend, opts Options, st *S
 			return s.exhausted(ctx)
 		}
 		before := len(s.samples)
-		model := t.Inner.trainModel(task, s, rng)
+		model := costModel.trainModel(task, s, rng)
 		var batch []space.Config
 		if model != nil {
 			obj := newSAObjective(model, task.Space)
-			proposals := sa.FindMaxima(task.Space, obj, pf*opts.PlanSize, s.visited, rng)
-			batch = adaptiveSample(proposals, int(mf*float64(opts.PlanSize)), rng)
+			proposals := sa.FindMaxima(task.Space, obj, chameleonProposalFactor*opts.PlanSize, s.visited, rng)
+			batch = adaptiveSample(proposals, measureN, rng)
 		}
 		planned := make(map[uint64]bool, len(batch))
 		for _, c := range batch {
 			planned[c.Flat()] = true
 		}
-		for len(batch) < int(mf*float64(opts.PlanSize)) {
+		for len(batch) < measureN {
 			rc, ok := s.randomUnvisited(rng, planned)
 			if !ok {
 				break

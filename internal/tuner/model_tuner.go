@@ -22,6 +22,15 @@ const (
 	InitBTED
 )
 
+// The model-based tuners' fixed settings.
+const (
+	// modelEpsilon is the random-exploration fraction per batch.
+	modelEpsilon = 0.05
+	// transferRowsPerPlan caps the warm-start rows mixed into the first
+	// model trainings, in multiples of PlanSize.
+	transferRowsPerPlan = 2
+)
+
 // ModelTuner is the AutoTVM-style model-based tuner: an XGBoost cost model
 // trained on all observations ranks candidates, simulated annealing
 // maximizes the model over the space, and a new batch of PlanSize
@@ -36,17 +45,10 @@ type ModelTuner struct {
 	// BTED configures the BTED initialization (zero value = paper
 	// defaults); ignored under InitRandom.
 	BTED active.BTEDParams
-	// XGB configures the cost model; zero value = surrogate defaults.
-	XGB xgb.Params
-	// Epsilon is the random-exploration fraction per batch (default 0.05).
-	Epsilon float64
 	// RankObjective trains the cost model with the pairwise rank loss
 	// instead of squared error (AutoTVM's actual objective; only relative
 	// order matters to the SA argmax).
 	RankObjective bool
-	// TransferLimit caps warm-start rows mixed into the first model
-	// trainings (default 2*PlanSize).
-	TransferLimit int
 }
 
 // NewAutoTVM returns the baseline configuration of the paper's
@@ -65,14 +67,9 @@ func (t *ModelTuner) Name() string {
 	return "autotvm"
 }
 
+// xgbParams returns the cost model's training parameters, seed aside.
 func (t *ModelTuner) xgbParams() xgb.Params {
-	p := t.XGB
-	if p.NumRounds == 0 {
-		p = xgb.DefaultParams()
-		p.NumRounds = 24
-		p.MaxDepth = 5
-		p.MaxBins = 24
-	}
+	p := xgb.Params{NumRounds: 24, MaxDepth: 5, MaxBins: 24}
 	if t.RankObjective {
 		p.Objective = xgb.ObjPairwiseRank
 	}
@@ -92,10 +89,6 @@ func (t *ModelTuner) Open(task *Task, b backend.Backend, opts Options, st *Sessi
 		return nil, err
 	}
 	rng := s.src.Rand()
-	eps := t.Epsilon
-	if eps <= 0 {
-		eps = 0.05
-	}
 	ex := &initedState{}
 	if err := unmarshalExtra(st, ex); err != nil {
 		return nil, err
@@ -155,7 +148,7 @@ func (t *ModelTuner) Open(task *Task, b backend.Backend, opts Options, st *Sessi
 			if len(batch) >= opts.PlanSize {
 				break
 			}
-			if rng.Float64() < eps {
+			if rng.Float64() < modelEpsilon {
 				if rc, ok := s.randomUnvisited(rng, planned); ok {
 					add(rc)
 					continue
@@ -206,13 +199,9 @@ func (t *ModelTuner) trainModel(task *Task, s *session, rng *rand.Rand) *xgb.Mod
 		}
 	}
 	if s.opts.Transfer != nil {
-		limit := t.TransferLimit
-		if limit <= 0 {
-			limit = 2 * s.opts.PlanSize
-		}
 		// Warm starts matter most early; fade them out as own data grows.
 		if len(data) < 4*s.opts.PlanSize {
-			tx, ty := s.opts.Transfer.WarmStart(task.Workload.Op, task.Name, limit)
+			tx, ty := s.opts.Transfer.WarmStart(task.Workload.Op, task.Name, transferRowsPerPlan*s.opts.PlanSize)
 			X = append(X, tx...)
 			y = append(y, ty...)
 		}

@@ -22,12 +22,7 @@ func sascoreModel(t testing.TB, sp *space.Space, seed int64) *xgb.Model {
 		X = append(X, c.Features())
 		y = append(y, float64(c.Flat()%97)/97.0)
 	}
-	p := xgb.DefaultParams()
-	p.NumRounds = 24
-	p.MaxDepth = 5
-	p.MaxBins = 24
-	p.Seed = seed
-	m, err := xgb.Train(X, y, p)
+	m, err := xgb.Train(X, y, xgb.Params{NumRounds: 24, MaxDepth: 5, MaxBins: 24, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

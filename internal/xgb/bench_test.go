@@ -25,11 +25,7 @@ func benchData(n, d int, seed int64) ([][]float64, []float64) {
 // benchParams mirrors the cost-model configuration the AutoTVM-style tuner
 // trains every round (see ModelTuner.xgbParams).
 func benchParams() Params {
-	p := DefaultParams()
-	p.NumRounds = 24
-	p.MaxDepth = 5
-	p.MaxBins = 24
-	return p
+	return Params{NumRounds: 24, MaxDepth: 5, MaxBins: 24}
 }
 
 // BenchmarkXGBTrain fits the surrogate at late-run training-set size: ~512

@@ -128,20 +128,21 @@ func (m *Model) compiledSanity() error {
 }
 
 // trainRandom fits an ensemble on random data under the given parameter
-// tweaks and returns it with a scoring pool.
-func trainRandom(t *testing.T, seed int64, mut func(*Params)) (*Model, [][]float64) {
+// and target tweaks and returns it with a scoring pool.
+func trainRandom(t *testing.T, seed int64, mut func(*Params, []float64)) (*Model, [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 40 + rng.Intn(200)
 	d := 1 + rng.Intn(16)
 	X, y := benchData(n, d, seed+1)
-	p := DefaultParams()
-	p.NumRounds = 1 + rng.Intn(32)
-	p.MaxDepth = 1 + rng.Intn(7)
-	p.MaxBins = 2 + rng.Intn(40)
-	p.Seed = seed
+	p := Params{
+		NumRounds: 1 + rng.Intn(32),
+		MaxDepth:  1 + rng.Intn(7),
+		MaxBins:   2 + rng.Intn(40),
+		Seed:      seed,
+	}
 	if mut != nil {
-		mut(&p)
+		mut(&p, y)
 	}
 	m, err := Train(X, y, p)
 	if err != nil {
@@ -185,9 +186,19 @@ func withNaNs(pool [][]float64, seed int64) [][]float64 {
 	return out
 }
 
+// oneOutlier sets every target to 1 but the first, which it sets to 2. All
+// other rows share one gradient in every round, so a split only pays where
+// it separates the outlier, and the trees stay shallow.
+func oneOutlier(_ *Params, y []float64) {
+	for i := range y {
+		y[i] = 1
+	}
+	y[0] = 2
+}
+
 // TestTrainedLayoutSound is the layout contract of Train: across a
-// parameter sweep (every depth 1-8, row/column subsampling, the rank
-// objective, single-sample and constant targets) every trained model's
+// parameter sweep (every depth 1-8, the rank objective, single-sample,
+// single-outlier and constant targets) every trained model's
 // flat arrays pass compiledSanity, and Predict equals the naive leaf-test
 // walk bit for bit on random rows and on rows with NaN and infinite
 // features.
@@ -203,10 +214,8 @@ func TestTrainedLayoutSound(t *testing.T) {
 		cases = append(cases, trainCase{fmt.Sprintf("depth%d", depth), 300, 9, func(p *Params, _ []float64) { p.MaxDepth = depth }})
 	}
 	cases = append(cases,
-		trainCase{"subsample", 300, 9, func(p *Params, _ []float64) { p.Subsample = 0.7; p.ColSample = 0.6 }},
 		trainCase{"rank", 300, 9, func(p *Params, _ []float64) { p.Objective = ObjPairwiseRank }},
-		trainCase{"rank-subsample", 300, 9, func(p *Params, _ []float64) { p.Objective = ObjPairwiseRank; p.Subsample = 0.5 }},
-		trainCase{"pruned", 300, 9, func(p *Params, _ []float64) { p.Gamma = 5; p.MinChildWeight = 8 }},
+		trainCase{"outlier", 300, 9, oneOutlier}, // shallow trees
 		trainCase{"single-sample", 1, 5, nil},
 		trainCase{"constant", 64, 6, func(_ *Params, y []float64) {
 			for i := range y {
@@ -217,7 +226,7 @@ func TestTrainedLayoutSound(t *testing.T) {
 	)
 	for ci, tc := range cases {
 		X, y := benchData(tc.n, tc.d, int64(ci))
-		p := DefaultParams()
+		p := testParams()
 		p.NumRounds = 12
 		p.Seed = int64(ci)
 		if tc.mut != nil {
@@ -255,7 +264,7 @@ func TestCompiledSingleLeafTrees(t *testing.T) {
 	for i := range y {
 		y[i] = 3.25
 	}
-	p := DefaultParams()
+	p := testParams()
 	p.NumRounds = 8
 	m, err := Train(X, y, p)
 	if err != nil {
@@ -338,9 +347,14 @@ func TestCompiledTreesTouching(t *testing.T) {
 // size — must reproduce the scalar walker pair by pair, values and masks
 // both.
 func TestCompiledPathWalks(t *testing.T) {
-	muts := []func(*Params){
+	muts := []func(*Params, []float64){
 		nil,
-		func(p *Params) { p.Gamma = 5; p.MinChildWeight = 8 }, // shallow/leaf-only trees
+		oneOutlier, // shallow trees
+		func(_ *Params, y []float64) { // leaf-only trees
+			for i := range y {
+				y[i] = 3.25
+			}
+		},
 	}
 	for seed := int64(0); seed < 4; seed++ {
 		for mi, mut := range muts {

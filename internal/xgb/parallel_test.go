@@ -27,21 +27,14 @@ func predictAll(m *Model, X [][]float64) []float64 {
 }
 
 // TestXGBTrainWorkerCountInvariance pins the bit-identity contract of the
-// parallel training path: binning, split search and prediction updates must
-// produce the identical model for every worker count, under both objectives
-// and with row/column subsampling active (RNG draws stay on the calling
-// goroutine regardless of workers).
+// parallel training path: binning and split search must produce the
+// identical model for every worker count, under both objectives (the rank
+// objective's RNG draws stay on the calling goroutine regardless of
+// workers).
 func TestXGBTrainWorkerCountInvariance(t *testing.T) {
 	X, y := benchData(700, 11, 17)
 	for _, obj := range []Objective{ObjSquaredError, ObjPairwiseRank} {
-		p := DefaultParams()
-		p.NumRounds = 12
-		p.MaxDepth = 5
-		p.MaxBins = 24
-		p.Objective = obj
-		p.Subsample = 0.8
-		p.ColSample = 0.7
-		p.Seed = 42
+		p := Params{NumRounds: 12, MaxDepth: 5, MaxBins: 24, Objective: obj, Seed: 42}
 		mRef, ref := trainPreds(t, X, y, p, 1)
 		for _, workers := range []int{4, 8} {
 			m, got := trainPreds(t, X, y, p, workers)
@@ -58,13 +51,13 @@ func TestXGBTrainWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestXGBLeafDeltaMatchesPredict pins the fast-path contract Train relies
-// on when Subsample == 1: the leaf weight a row settles into during the
+// TestXGBLeafDeltaMatchesPredict pins the contract Train's prediction
+// update relies on: the leaf weight a row settles into during the
 // build (via bin comparisons) is bit-identical to walking the finished tree
 // with threshold comparisons.
 func TestXGBLeafDeltaMatchesPredict(t *testing.T) {
 	X, y := benchData(400, 7, 9)
-	p := DefaultParams()
+	p := testParams()
 	p.MaxBins = 16
 	b := newBinner(X, p.MaxBins, 1)
 	n := len(X)
@@ -78,13 +71,9 @@ func TestXGBLeafDeltaMatchesPredict(t *testing.T) {
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	cols := make([]int, len(X[0]))
-	for i := range cols {
-		cols[i] = i
-	}
-	ws := newTreeScratch(n, len(cols), p.MaxBins)
-	m := &Model{nfeat: len(cols), off: []int32{0}}
-	growTree(m, b, grad, hess, rows, cols, p, ws, 1)
+	ws := newTreeScratch(n, len(X[0]), p.MaxBins)
+	m := &Model{nfeat: len(X[0]), off: []int32{0}}
+	growTree(m, b, grad, hess, rows, p, ws, 1)
 	for i := range X {
 		want := m.leafWalk(0, X[i])
 		if math.Float64bits(ws.leaf[i]) != math.Float64bits(want) {

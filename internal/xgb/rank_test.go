@@ -31,7 +31,7 @@ func kendallTau(pred, y []float64) float64 {
 
 func TestRankObjectiveLearnsOrdering(t *testing.T) {
 	X, y := makeRegression(500, 5, 0.05, 21)
-	p := DefaultParams()
+	p := testParams()
 	p.Objective = ObjPairwiseRank
 	p.NumRounds = 40
 	m, err := Train(X, y, p)
@@ -53,7 +53,7 @@ func TestRankObjectiveScaleInvariance(t *testing.T) {
 	for i, v := range y {
 		yScaled[i] = v * 1e9
 	}
-	p := DefaultParams()
+	p := testParams()
 	p.Objective = ObjPairwiseRank
 	p.Seed = 5
 	m1, err := Train(X, y, p)
@@ -79,7 +79,7 @@ func TestRankObjectiveTiedTargets(t *testing.T) {
 	for i := range y {
 		y[i] = 1
 	}
-	p := DefaultParams()
+	p := testParams()
 	p.Objective = ObjPairwiseRank
 	m, err := Train(X, y, p)
 	if err != nil {
@@ -95,15 +95,10 @@ func TestRankObjectiveTiedTargets(t *testing.T) {
 func TestRankParamsValidation(t *testing.T) {
 	X := [][]float64{{1}, {2}}
 	y := []float64{1, 2}
-	p := DefaultParams()
+	p := testParams()
 	p.Objective = Objective(99)
 	if _, err := Train(X, y, p); err == nil {
 		t.Fatal("unknown objective should error")
-	}
-	p = DefaultParams()
-	p.RankPairs = -1
-	if _, err := Train(X, y, p); err == nil {
-		t.Fatal("negative RankPairs should error")
 	}
 }
 
@@ -123,14 +118,14 @@ func TestRankBeatsRegressionOnSkewedTargets(t *testing.T) {
 			y[i] = base * 1e6 // outlier scale
 		}
 	}
-	pr := DefaultParams()
+	pr := testParams()
 	pr.Objective = ObjPairwiseRank
 	pr.NumRounds = 40
 	rankM, err := Train(X, y, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	regM, err := Train(X, y, DefaultParams())
+	regM, err := Train(X, y, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +152,7 @@ func TestRankGradientsDirection(t *testing.T) {
 	grad := make([]float64, 2)
 	hess := make([]float64, 2)
 	rng := rand.New(rand.NewSource(1))
-	rankGradients(pred, y, grad, hess, 8, rng)
+	rankGradients(pred, y, grad, hess, rng)
 	if !(grad[1] < 0 && grad[0] > 0) {
 		t.Fatalf("gradients wrong direction: %v", grad)
 	}
@@ -172,7 +167,7 @@ func TestRankGradientsDirection(t *testing.T) {
 
 func TestRankPredictionsCorrelateWithSortOrder(t *testing.T) {
 	X, y := makeRegression(200, 4, 0.0, 26)
-	p := DefaultParams()
+	p := testParams()
 	p.Objective = ObjPairwiseRank
 	m, err := Train(X, y, p)
 	if err != nil {

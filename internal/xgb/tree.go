@@ -7,14 +7,13 @@ import (
 	"repro/internal/par"
 )
 
-// xgbRowBlock is the fixed row-block size of the parallel binning and
-// prediction-update passes. Fixed (never derived from the worker count) so
+// xgbRowBlock is the fixed row-block size of the parallel binning pass. Fixed (never derived from the worker count) so
 // the decomposition is identical for any workers value; the per-row results
 // are independent, so blocking only shapes scheduling, not bits.
 const xgbRowBlock = 256
 
 // xgbParallelMinWork is the approximate work-item count (rows for the
-// row-parallel stages, rows x features for split search) below which a
+// row binning, rows x features for split search) below which a
 // stage stays on the calling goroutine: pool dispatch costs a few
 // microseconds, which small nodes cannot amortize.
 const xgbParallelMinWork = 4096
@@ -122,10 +121,9 @@ type treeScratch struct {
 	hist   []float64
 	part   []int32     // length n: right-half temp of the stable in-place partition
 	best   []splitCand // per-feature split candidates
-	active []int       // cols filtered to features with >= 2 bins
+	active []int       // features with >= 2 bins
 	// leaf[r] is the leaf weight row r reached in the tree just grown —
-	// recorded as rows settle into leaves during the build, valid for the
-	// sampled rows only.
+	// recorded as rows settle into leaves during the build.
 	leaf []float64
 }
 
@@ -139,17 +137,17 @@ func newTreeScratch(n, nfeat, maxBins int) *treeScratch {
 	}
 }
 
-// growTree builds one regression tree on the sampled rows/features using
-// histogram split finding with the XGBoost gain
+// growTree builds one regression tree on the given rows over every feature
+// using histogram split finding with the XGBoost gain
 //
-//	gain = GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) - gamma.
+//	gain = GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda).
 //
 // The histogram accumulation order per (feature, bin) is ascending row
 // order on every path: the serial fill walks rows once with features inner
 // (each bin accumulator still receives its terms in ascending row order),
 // and the parallel fill gives every feature its own pass and its own
 // histogram segment. Each feature's best (gain, bin) comes from a strict
-// greater-than scan, and the winners fold serially in cols order with
+// greater-than scan, and the winners fold serially in feature order with
 // strict greater-than — the same (feature, bin) the one-loop serial scan
 // selects, including every tie-break, for any worker count.
 //
@@ -164,7 +162,7 @@ func newTreeScratch(n, nfeat, maxBins int) *treeScratch {
 // traversal (x[f] <= edges[f][bin]), because binIndex returns the smallest
 // bin whose upper edge is >= x[f]. Train uses this to update predictions
 // without re-walking the tree.
-func growTree(m *Model, b *binner, grad, hess []float64, rows []int32, cols []int, p Params, ws *treeScratch, workers int) {
+func growTree(m *Model, b *binner, grad, hess []float64, rows []int32, p Params, ws *treeScratch, workers int) {
 	maxBins := p.MaxBins
 	maskOff := len(m.fmask)
 	m.fmask = append(m.fmask, make([]uint64, m.maskWords())...)
@@ -172,7 +170,7 @@ func growTree(m *Model, b *binner, grad, hess []float64, rows []int32, cols []in
 	// Features with < 2 bins can never split (the old per-feature guard);
 	// dropping them here keeps the hot fill loops branch-free.
 	active := ws.active[:0]
-	for _, f := range cols {
+	for f := range b.edges {
 		if len(b.edges[f]) >= 2 {
 			active = append(active, f)
 		}
@@ -184,7 +182,7 @@ func growTree(m *Model, b *binner, grad, hess []float64, rows []int32, cols []in
 			G += grad[r]
 			H += hess[r]
 		}
-		leafValue := -G / (H + p.Lambda) * p.Eta
+		leafValue := -G / (H + lambda) * eta
 		id := int32(len(m.nodes))
 		m.nodes = append(m.nodes, cnode{left: id, right: id})
 		m.value = append(m.value, leafValue)
@@ -201,7 +199,7 @@ func growTree(m *Model, b *binner, grad, hess []float64, rows []int32, cols []in
 			return asLeaf()
 		}
 
-		parentScore := G * G / (H + p.Lambda)
+		parentScore := G * G / (H + lambda)
 		scanFeature := func(f int) {
 			cand := splitCand{bin: -1}
 			nb := len(b.edges[f])
@@ -212,10 +210,10 @@ func growTree(m *Model, b *binner, grad, hess []float64, rows []int32, cols []in
 				HL += hist[2*bi+1]
 				GR := G - GL
 				HR := H - HL
-				if HL < p.MinChildWeight || HR < p.MinChildWeight {
+				if HL < minChildWeight || HR < minChildWeight {
 					continue
 				}
-				gain := GL*GL/(HL+p.Lambda) + GR*GR/(HR+p.Lambda) - parentScore - p.Gamma
+				gain := GL*GL/(HL+lambda) + GR*GR/(HR+lambda) - parentScore
 				if gain > cand.gain {
 					cand.gain = gain
 					cand.bin = bi

@@ -49,9 +49,15 @@ func variance(y []float64) float64 {
 	return s / float64(len(y))
 }
 
+// testParams is a mid-sized ensemble for the unit tests: 30 rounds of
+// depth-5 trees over 32 bins.
+func testParams() Params {
+	return Params{NumRounds: 30, MaxDepth: 5, MaxBins: 32}
+}
+
 func TestTrainLearnsNonlinearFunction(t *testing.T) {
 	X, y := makeRegression(800, 6, 0.05, 1)
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +79,7 @@ func TestTrainConstantTarget(t *testing.T) {
 	for i := range y {
 		y[i] = 7.5
 	}
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +91,7 @@ func TestTrainConstantTarget(t *testing.T) {
 }
 
 func TestTrainSingleSample(t *testing.T) {
-	m, err := Train([][]float64{{1, 2}}, []float64{3}, DefaultParams())
+	m, err := Train([][]float64{{1, 2}}, []float64{3}, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,53 +103,38 @@ func TestTrainSingleSample(t *testing.T) {
 func TestTrainValidation(t *testing.T) {
 	X := [][]float64{{1}, {2}}
 	y := []float64{1, 2}
-	if _, err := Train(nil, nil, DefaultParams()); err == nil {
+	if _, err := Train(nil, nil, testParams()); err == nil {
 		t.Fatal("empty data should error")
 	}
-	if _, err := Train(X, []float64{1}, DefaultParams()); err == nil {
+	if _, err := Train(X, []float64{1}, testParams()); err == nil {
 		t.Fatal("length mismatch should error")
 	}
-	if _, err := Train([][]float64{{}, {}}, y, DefaultParams()); err == nil {
+	if _, err := Train([][]float64{{}, {}}, y, testParams()); err == nil {
 		t.Fatal("zero features should error")
 	}
-	if _, err := Train([][]float64{{1}, {2, 3}}, y, DefaultParams()); err == nil {
+	if _, err := Train([][]float64{{1}, {2, 3}}, y, testParams()); err == nil {
 		t.Fatal("ragged rows should error")
 	}
-	bad := DefaultParams()
+	bad := testParams()
 	bad.NumRounds = 0
 	if _, err := Train(X, y, bad); err == nil {
 		t.Fatal("zero rounds should error")
 	}
-	bad = DefaultParams()
-	bad.Eta = 0
-	if _, err := Train(X, y, bad); err == nil {
-		t.Fatal("zero eta should error")
-	}
-	bad = DefaultParams()
+	bad = testParams()
 	bad.MaxDepth = 0
 	if _, err := Train(X, y, bad); err == nil {
 		t.Fatal("zero depth should error")
 	}
-	bad = DefaultParams()
-	bad.Subsample = 0
-	if _, err := Train(X, y, bad); err == nil {
-		t.Fatal("zero subsample should error")
-	}
-	bad = DefaultParams()
+	bad = testParams()
 	bad.MaxBins = 1
 	if _, err := Train(X, y, bad); err == nil {
 		t.Fatal("one bin should error")
-	}
-	bad = DefaultParams()
-	bad.Lambda = -1
-	if _, err := Train(X, y, bad); err == nil {
-		t.Fatal("negative lambda should error")
 	}
 }
 
 func TestPredictPanicsOnWrongDim(t *testing.T) {
 	X, y := makeRegression(50, 4, 0, 4)
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +148,8 @@ func TestPredictPanicsOnWrongDim(t *testing.T) {
 
 func TestDeterministicTraining(t *testing.T) {
 	X, y := makeRegression(300, 5, 0.1, 5)
-	p := DefaultParams()
-	p.Subsample = 0.8
-	p.ColSample = 0.8
+	p := testParams()
+	p.Objective = ObjPairwiseRank // the objective that draws from the RNG
 	p.Seed = 42
 	m1, err := Train(X, y, p)
 	if err != nil {
@@ -176,29 +166,9 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
-func TestSubsamplingChangesModel(t *testing.T) {
-	X, y := makeRegression(300, 5, 0.1, 6)
-	p := DefaultParams()
-	p.Subsample = 0.6
-	p.Seed = 1
-	m1, _ := Train(X, y, p)
-	p.Seed = 2
-	m2, _ := Train(X, y, p)
-	diff := false
-	for i := range X {
-		if m1.Predict(X[i]) != m2.Predict(X[i]) {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Fatal("different subsample seeds should change the model")
-	}
-}
-
 func TestMoreRoundsReduceTrainError(t *testing.T) {
 	X, y := makeRegression(500, 5, 0.05, 7)
-	p := DefaultParams()
+	p := testParams()
 	p.NumRounds = 5
 	m5, _ := Train(X, y, p)
 	p.NumRounds = 60
@@ -211,32 +181,9 @@ func TestMoreRoundsReduceTrainError(t *testing.T) {
 	}
 }
 
-func TestGammaPrunesSplits(t *testing.T) {
-	X, y := makeRegression(300, 4, 0.3, 8)
-	p := DefaultParams()
-	p.Gamma = 0
-	loose, _ := Train(X, y, p)
-	p.Gamma = 1e6
-	strict, _ := Train(X, y, p)
-	count := func(m *Model) int {
-		n := 0
-		for tr := 0; tr < m.NumTrees(); tr++ {
-			n += m.TreeNodeCount(tr)
-		}
-		return n
-	}
-	if count(strict) >= count(loose) {
-		t.Fatalf("huge gamma should prune: %d vs %d nodes", count(strict), count(loose))
-	}
-	// With infinite gamma every tree is a single leaf node.
-	if count(strict) != strict.NumTrees() {
-		t.Fatalf("gamma=inf should give single-leaf trees, got %d nodes", count(strict))
-	}
-}
-
 func TestNumFeatures(t *testing.T) {
 	X, y := makeRegression(50, 7, 0, 9)
-	m, _ := Train(X, y, DefaultParams())
+	m, _ := Train(X, y, testParams())
 	if m.NumFeatures() != 7 {
 		t.Fatalf("NumFeatures = %d", m.NumFeatures())
 	}
@@ -260,7 +207,7 @@ func TestBinIndex(t *testing.T) {
 func TestBinnerHandlesConstantFeature(t *testing.T) {
 	X := [][]float64{{1, 5}, {2, 5}, {3, 5}, {4, 5}}
 	y := []float64{1, 2, 3, 4}
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +221,7 @@ func TestDuplicateRows(t *testing.T) {
 	// Identical inputs with conflicting labels must not loop or crash.
 	X := [][]float64{{1, 1}, {1, 1}, {1, 1}, {2, 2}}
 	y := []float64{0, 1, 0.5, 3}
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +235,7 @@ func TestDuplicateRows(t *testing.T) {
 // random inputs inside and outside the training range.
 func TestPredictFiniteProperty(t *testing.T) {
 	X, y := makeRegression(200, 4, 0.1, 10)
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +265,7 @@ func TestMonotoneRanking(t *testing.T) {
 		X[i] = []float64{x, rng.Float64()}
 		y[i] = x
 	}
-	m, err := Train(X, y, DefaultParams())
+	m, err := Train(X, y, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +276,7 @@ func TestMonotoneRanking(t *testing.T) {
 
 func BenchmarkTrain600x18(b *testing.B) {
 	X, y := makeRegression(600, 18, 0.05, 12)
-	p := DefaultParams()
+	p := testParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Train(X, y, p); err != nil {
