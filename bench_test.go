@@ -21,6 +21,7 @@ import (
 	"repro/internal/hwsim"
 	"repro/internal/job"
 	"repro/internal/repro"
+	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/tensor"
 	"repro/internal/tuner"
@@ -165,10 +166,9 @@ func benchmarkBAOStep(b *testing.B, r float64) {
 	measureSeeded := func(c space.Config) hwsim.Measurement {
 		return sim.MeasureSeeded(w, c, hwsim.NoiseSeed(1, c.Flat()))
 	}
-	rng := rand.New(rand.NewSource(2))
 	var init []active.Sample
 	measured := make(map[uint64]bool)
-	for _, c := range sp.RandomSample(64, rng) {
+	for _, c := range sp.RandomSample(64, rng.New(2).Rand()) {
 		m := measureSeeded(c)
 		init = append(init, active.Sample{Config: c, GFLOPS: m.GFLOPS, Valid: m.Valid})
 		measured[c.Flat()] = true
@@ -184,7 +184,7 @@ func benchmarkBAOStep(b *testing.B, r float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := active.NewBAORun(sp, active.NewXGBTrainer(), init, p)
-		run.Step(rand.New(rand.NewSource(int64(i))), init, measured, measure)
+		run.Step(rng.New(int64(i)), init, measured, measure)
 	}
 }
 
@@ -209,11 +209,11 @@ func Benchmark_Neighborhood_R3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	center := sp.Random(rng)
+	src := rng.New(3)
+	center := sp.Random(src.Rand())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.Neighborhood(center, 3, space.NeighborhoodOpts{MaxCandidates: 2048}, rng)
+		sp.Neighborhood(center, 3, space.NeighborhoodOpts{MaxCandidates: 2048}, src)
 	}
 }
 
@@ -223,11 +223,11 @@ func Benchmark_Neighborhood_TauR(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	center := sp.Random(rng)
+	src := rng.New(3)
+	center := sp.Random(src.Rand())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.Neighborhood(center, 4.5, space.NeighborhoodOpts{MaxCandidates: 2048}, rng)
+		sp.Neighborhood(center, 4.5, space.NeighborhoodOpts{MaxCandidates: 2048}, src)
 	}
 }
 

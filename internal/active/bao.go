@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/par"
+	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
@@ -239,9 +240,10 @@ func incumbent(samples []Sample) int {
 // the flat codes of every configuration already deployed, and measure
 // deploys the selected configuration and records it in that ledger, so
 // the next Step sees it. Step reports false, deploying nothing, when the
-// space is exhausted. All randomness of the iteration is drawn from rng, in
-// a fixed order.
-func (r *BAORun) Step(rng *rand.Rand, samples []Sample, measured map[uint64]bool, measure MeasureFunc) bool {
+// space is exhausted. All randomness of the iteration is drawn from src,
+// in a fixed order: the neighborhood draws from the counted source itself,
+// everything else through src.Rand().
+func (r *BAORun) Step(src *rng.Source, samples []Sample, measured map[uint64]bool, measure MeasureFunc) bool {
 	radius := r.p.R
 	if r.t >= 2 {
 		rt := relativeImprovement(r.bestTrace, r.p.LiteralCeil)
@@ -250,25 +252,26 @@ func (r *BAORun) Step(rng *rand.Rand, samples []Sample, measured map[uint64]bool
 		}
 	}
 
+	rnd := src.Rand()
 	best := incumbent(samples)
 	var cands []space.Config
 	useGlobal := r.p.GlobalFallbackAfter > 0 && r.sinceImprove >= r.p.GlobalFallbackAfter
 	if best >= 0 && !useGlobal {
 		cands = r.sp.Neighborhood(samples[best].Config, radius,
-			space.NeighborhoodOpts{MaxCandidates: baoMaxCandidates, Exclude: measured}, rng)
+			space.NeighborhoodOpts{MaxCandidates: baoMaxCandidates, Exclude: measured}, src)
 	} else if useGlobal {
-		cands = globalPool(r.sp, baoMaxCandidates, measured, rng)
+		cands = globalPool(r.sp, baoMaxCandidates, measured, rnd)
 	}
 	var next space.Config
 	picked := false
 	if len(cands) > 0 {
-		if i, err := BootstrapSelect(r.tr, samples, cands, r.p.Gamma, rng); err == nil {
+		if i, err := BootstrapSelect(r.tr, samples, cands, r.p.Gamma, rnd); err == nil {
 			next = cands[i]
 			picked = true
 		}
 	}
 	if !picked {
-		c, ok := randomUnmeasured(r.sp, measured, rng)
+		c, ok := randomUnmeasured(r.sp, measured, rnd)
 		if !ok {
 			// The space is effectively exhausted: a re-measurement would
 			// only duplicate a known sample and burn a budget step.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/space"
 )
 
@@ -150,20 +151,20 @@ func (l *ledger) record(c space.Config) (float64, bool) {
 // runBAO steps a fresh BAORun over init for at most steps iterations
 // (fewer when the space runs out) and returns every sample in measurement
 // order, initialization first.
-func runBAO(sp *space.Space, tr EvalTrainer, init []Sample, measure MeasureFunc, p BAOParams, steps int, rng *rand.Rand) []Sample {
+func runBAO(sp *space.Space, tr EvalTrainer, init []Sample, measure MeasureFunc, p BAOParams, steps int, src *rng.Source) []Sample {
 	l := newLedger(init, measure)
 	r := NewBAORun(sp, tr, l.samples, p)
-	for i := 0; i < steps && r.Step(rng, l.samples, l.measured, l.record); i++ {
+	for i := 0; i < steps && r.Step(src, l.samples, l.measured, l.record); i++ {
 	}
 	return l.samples
 }
 
 func TestBAOFindsNearOptimum(t *testing.T) {
 	sp := quadSpace()
-	rng := rand.New(rand.NewSource(4))
-	init := measureInit(sp, 16, rng, quadMeasure)
+	src := rng.New(4)
+	init := measureInit(sp, 16, src.Rand(), quadMeasure)
 	p := BAOParams{Gamma: 2, Tau: 1.5, R: 3}
-	samples := runBAO(sp, NewXGBTrainer(), init, quadMeasure, p, 120, rng)
+	samples := runBAO(sp, NewXGBTrainer(), init, quadMeasure, p, 120, src)
 	best, ok := Best(samples)
 	if !ok {
 		t.Fatal("no valid sample")
@@ -182,10 +183,10 @@ func TestBAOBeatsRandomSearch(t *testing.T) {
 	wins := 0
 	rounds := 5
 	for r := 0; r < rounds; r++ {
-		rng := rand.New(rand.NewSource(int64(40 + r)))
-		init := measureInit(sp, 16, rng, quadMeasure)
+		src := rng.New(int64(40 + r))
+		init := measureInit(sp, 16, src.Rand(), quadMeasure)
 		p := BAOParams{Gamma: 2, Tau: 1.5, R: 3}
-		samples := runBAO(sp, NewXGBTrainer(), init, quadMeasure, p, 150, rng)
+		samples := runBAO(sp, NewXGBTrainer(), init, quadMeasure, p, 150, src)
 		baoBest, _ := Best(samples)
 
 		rng2 := rand.New(rand.NewSource(int64(140 + r)))
@@ -211,16 +212,16 @@ func TestBAOBeatsRandomSearch(t *testing.T) {
 // of non-improving measurements when the driver stops.
 func TestBAOEarlyStopping(t *testing.T) {
 	sp := quadSpace()
-	rng := rand.New(rand.NewSource(5))
+	src := rng.New(5)
 	flat := func(space.Config) (float64, bool) { return 1.0, true }
-	init := measureInit(sp, 8, rng, flat)
+	init := measureInit(sp, 8, src.Rand(), flat)
 	l := newLedger(init, flat)
 	r := NewBAORun(sp, NewXGBTrainer(), l.samples, BAOParams{Gamma: 1})
 	const earlyStop = 20
 	since := 0
 	for since < earlyStop {
 		best, _ := Best(l.samples)
-		if !r.Step(rng, l.samples, l.measured, l.record) {
+		if !r.Step(src, l.samples, l.measured, l.record) {
 			t.Fatalf("BAO stopped on its own after %d steps", since)
 		}
 		if last := l.samples[len(l.samples)-1]; last.Valid && last.GFLOPS > best.GFLOPS {
@@ -239,10 +240,10 @@ func TestBAOEarlyStopping(t *testing.T) {
 
 func TestBAOAllInvalidFallsBack(t *testing.T) {
 	sp := quadSpace()
-	rng := rand.New(rand.NewSource(6))
+	src := rng.New(6)
 	invalid := func(space.Config) (float64, bool) { return 0, false }
-	init := measureInit(sp, 8, rng, invalid)
-	samples := runBAO(sp, NewXGBTrainer(), init, invalid, BAOParams{Gamma: 1}, 10, rng)
+	init := measureInit(sp, 8, src.Rand(), invalid)
+	samples := runBAO(sp, NewXGBTrainer(), init, invalid, BAOParams{Gamma: 1}, 10, src)
 	if len(samples) != len(init)+10 {
 		t.Fatalf("BAO with all-invalid measurements ran %d iters", len(samples)-len(init))
 	}
@@ -253,9 +254,9 @@ func TestBAOAllInvalidFallsBack(t *testing.T) {
 
 func TestBAOFailingTrainerFallsBack(t *testing.T) {
 	sp := quadSpace()
-	rng := rand.New(rand.NewSource(7))
-	init := measureInit(sp, 8, rng, quadMeasure)
-	samples := runBAO(sp, failingTrainer{}, init, quadMeasure, BAOParams{Gamma: 2}, 15, rng)
+	src := rng.New(7)
+	init := measureInit(sp, 8, src.Rand(), quadMeasure)
+	samples := runBAO(sp, failingTrainer{}, init, quadMeasure, BAOParams{Gamma: 2}, 15, src)
 	if len(samples) != len(init)+15 {
 		t.Fatal("failing trainer should still complete via random fallback")
 	}
@@ -266,12 +267,12 @@ func TestBAOFailingTrainerFallsBack(t *testing.T) {
 // already measured.
 func TestBAOObserverAndDedup(t *testing.T) {
 	sp := quadSpace()
-	rng := rand.New(rand.NewSource(8))
-	init := measureInit(sp, 12, rng, quadMeasure)
+	src := rng.New(8)
+	init := measureInit(sp, 12, src.Rand(), quadMeasure)
 	l := newLedger(init, quadMeasure)
 	r := NewBAORun(sp, NewXGBTrainer(), l.samples, BAOParams{Gamma: 1})
 	for step := 1; step <= 40; step++ {
-		if !r.Step(rng, l.samples, l.measured, l.record) {
+		if !r.Step(src, l.samples, l.measured, l.record) {
 			t.Fatalf("step %d deployed nothing", step)
 		}
 		if len(l.samples) != len(init)+step {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/active"
 	"repro/internal/hwsim"
+	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/tensor"
 )
@@ -31,7 +32,7 @@ func ExampleBAORun() {
 	w := tensor.Conv2D(1, 32, 28, 28, 64, 3, 1, 1)
 	sp, _ := space.ForWorkload(w)
 	sim := hwsim.NewSimulator(hwsim.GTX1080Ti(), 7)
-	rng := rand.New(rand.NewSource(7))
+	src := rng.New(7)
 
 	var samples []active.Sample
 	measured := make(map[uint64]bool)
@@ -43,12 +44,12 @@ func ExampleBAORun() {
 	}
 	bp := active.DefaultBTEDParams()
 	bp.M0 = 16
-	for _, c := range active.BTED(sp, bp, rng) {
+	for _, c := range active.BTED(sp, bp, src.Rand()) {
 		measure(c)
 	}
 	initBest, _ := active.Best(samples)
 	run := active.NewBAORun(sp, active.NewXGBTrainer(), samples, active.DefaultBAOParams())
-	for step := 0; step < 64 && run.Step(rng, samples, measured, measure); step++ {
+	for step := 0; step < 64 && run.Step(src, samples, measured, measure); step++ {
 	}
 	best, ok := active.Best(samples)
 	fmt.Println("measurements:", len(samples))

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/space"
 )
 
@@ -81,10 +82,10 @@ func tinySpace() *space.Space {
 // returned samples must contain every configuration at most once.
 func TestBAOTinySpaceNoDuplicates(t *testing.T) {
 	sp := tinySpace()
-	rng := rand.New(rand.NewSource(31))
+	src := rng.New(31)
 	flat := func(space.Config) (float64, bool) { return 1.0, true }
-	init := measureInit(sp, 3, rng, flat)
-	samples := runBAO(sp, NewXGBTrainer(), init, flat, BAOParams{Gamma: 1}, 50, rng)
+	init := measureInit(sp, 3, src.Rand(), flat)
+	samples := runBAO(sp, NewXGBTrainer(), init, flat, BAOParams{Gamma: 1}, 50, src)
 
 	seen := make(map[uint64]bool)
 	for _, s := range samples {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hwsim"
+	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/tensor"
 )
@@ -53,9 +54,9 @@ func TestBAOWithEachTrainer(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := quadSpace()
-			rng := rand.New(rand.NewSource(11))
-			init := measureInit(sp, 16, rng, quadMeasure)
-			samples := runBAO(sp, tc.tr, init, quadMeasure, BAOParams{Gamma: 2}, 60, rng)
+			src := rng.New(11)
+			init := measureInit(sp, 16, src.Rand(), quadMeasure)
+			samples := runBAO(sp, tc.tr, init, quadMeasure, BAOParams{Gamma: 2}, 60, src)
 			best, ok := Best(samples)
 			if !ok {
 				t.Fatal("no valid sample")
@@ -87,14 +88,14 @@ func TestBAOStrictlyLocalStalls(t *testing.T) {
 			m := sim.Measure(w, c)
 			return m.GFLOPS, m.Valid
 		}
-		rng := rand.New(rand.NewSource(7))
+		src := rng.New(7)
 		var init []Sample
-		for _, c := range sp.RandomSample(32, rng) {
+		for _, c := range sp.RandomSample(32, src.Rand()) {
 			g, ok := measure(c)
 			init = append(init, Sample{Config: c, GFLOPS: g, Valid: ok})
 		}
 		p := BAOParams{Gamma: 2, GlobalFallbackAfter: fallback}
-		samples := runBAO(sp, NewXGBTrainer(), init, measure, p, 240, rng)
+		samples := runBAO(sp, NewXGBTrainer(), init, measure, p, 240, src)
 		trace := BestTrace(samples)
 		return trace[len(trace)/4], trace[len(trace)-1]
 	}

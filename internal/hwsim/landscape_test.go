@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/tensor"
 )
@@ -91,13 +92,13 @@ func TestLandscapeLocalityPaysOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := Estimator{Dev: GTX1080Ti()}
-	rng := rand.New(rand.NewSource(3))
+	src := rng.New(3)
 
 	// Find a decent starting config.
 	var start space.Config
 	bestG := 0.0
 	for i := 0; i < 2000; i++ {
-		c := sp.Random(rng)
+		c := sp.Random(src.Rand())
 		if e := est.Estimate(w, c); e.Valid && e.GFLOPS > bestG {
 			bestG = e.GFLOPS
 			start = c
@@ -106,7 +107,7 @@ func TestLandscapeLocalityPaysOff(t *testing.T) {
 	if bestG == 0 {
 		t.Fatal("no valid start found")
 	}
-	nb := sp.Neighborhood(start, 3, space.NeighborhoodOpts{MaxCandidates: 200}, rng)
+	nb := sp.Neighborhood(start, 3, space.NeighborhoodOpts{MaxCandidates: 200}, src)
 	if len(nb) == 0 {
 		t.Skip("empty neighborhood at the start config")
 	}

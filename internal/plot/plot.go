@@ -1,5 +1,5 @@
-// Package plot renders simple ASCII line charts and bar charts for the
-// experiment reports: the repository has no graphics dependencies, but the
+// Package plot renders simple ASCII line charts for the experiment
+// reports: the repository has no graphics dependencies, but the
 // paper's figures are line plots, so cmd/repro draws them as text.
 package plot
 
@@ -16,13 +16,11 @@ type Series struct {
 	Values []float64
 }
 
-// The line chart's plot area and markers (one per series, cycling), and
-// the bar chart's maximum bar width.
+// The line chart's plot area and markers (one per series, cycling).
 const (
 	lineWidth   = 72
 	lineHeight  = 18
 	lineMarkers = "o*x+#@"
-	barWidth    = 50
 )
 
 // LineChart renders series as a 72x18 ASCII chart. The x axis is the
@@ -117,38 +115,4 @@ func (lc LineChart) Render(w io.Writer, series []Series) error {
 func flush(w io.Writer, b *strings.Builder) error {
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// BarChart renders a horizontal bar chart of labeled values; the largest
-// magnitude gets a 50-column bar.
-type BarChart struct {
-	Title string
-}
-
-// Render writes the chart. Negative values draw leftward annotations. The
-// first write error is returned.
-func (bc BarChart) Render(w io.Writer, labels []string, values []float64) error {
-	var b strings.Builder
-	if bc.Title != "" {
-		fmt.Fprintln(&b, bc.Title)
-	}
-	maxAbs := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	if maxAbs == 0 {
-		maxAbs = 1
-	}
-	for i, v := range values {
-		n := int(math.Abs(v) / maxAbs * barWidth)
-		bar := strings.Repeat("#", n)
-		fmt.Fprintf(&b, "%-*s %10.3f |%s\n", maxLabel, labels[i], v, bar)
-	}
-	return flush(w, &b)
 }

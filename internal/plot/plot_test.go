@@ -55,26 +55,3 @@ func TestLineChartSinglePoint(t *testing.T) {
 		t.Fatal("single point should draw a marker")
 	}
 }
-
-func TestBarChart(t *testing.T) {
-	var buf bytes.Buffer
-	BarChart{Title: "bars"}.Render(&buf, []string{"x", "yy"}, []float64{-10, 5})
-	out := buf.String()
-	if !strings.Contains(out, "bars") || !strings.Contains(out, "##") {
-		t.Fatalf("bar chart output wrong:\n%s", out)
-	}
-	// The larger magnitude gets the full width.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "x ") && strings.Count(line, "#") != barWidth {
-			t.Fatalf("dominant bar not full width: %q", line)
-		}
-	}
-}
-
-func TestBarChartAllZero(t *testing.T) {
-	var buf bytes.Buffer
-	BarChart{}.Render(&buf, []string{"z"}, []float64{0})
-	if !strings.Contains(buf.String(), "z") {
-		t.Fatal("zero bars should still list labels")
-	}
-}

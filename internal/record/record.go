@@ -84,20 +84,6 @@ func Read(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// BestByTask returns the highest-GFLOPS valid record per task name.
-func BestByTask(recs []Record) map[string]Record {
-	best := make(map[string]Record)
-	for _, r := range recs {
-		if !r.Valid {
-			continue
-		}
-		if cur, ok := best[r.Task]; !ok || r.GFLOPS > cur.GFLOPS {
-			best[r.Task] = r
-		}
-	}
-	return best
-}
-
 // ToConfig rebuilds the record's configuration in the given space.
 func (r Record) ToConfig(sp *space.Space) (space.Config, error) {
 	return sp.FromIndices(r.Config)

@@ -70,24 +70,6 @@ func TestReadEmpty(t *testing.T) {
 	}
 }
 
-func TestBestByTask(t *testing.T) {
-	best := BestByTask(sampleRecords())
-	if len(best) != 2 {
-		t.Fatalf("best map size %d", len(best))
-	}
-	if best["m.T1"].GFLOPS != 250 {
-		t.Fatalf("T1 best = %v", best["m.T1"].GFLOPS)
-	}
-	if best["m.T2"].GFLOPS != 50 {
-		t.Fatalf("T2 best = %v", best["m.T2"].GFLOPS)
-	}
-	// Invalid-only records yield no best.
-	only := []Record{{Task: "x", Valid: false, GFLOPS: 999}}
-	if len(BestByTask(only)) != 0 {
-		t.Fatal("invalid records must not become best")
-	}
-}
-
 func TestToConfig(t *testing.T) {
 	w := tensor.Conv2D(1, 16, 28, 28, 32, 3, 1, 1)
 	sp, err := space.ForWorkload(w)

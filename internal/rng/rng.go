@@ -46,8 +46,11 @@ func New(seed int64) *Source {
 }
 
 // FromState reconstructs a Source by reseeding and replaying st.N draws.
-// The replay cost is linear in N; sessions in this repository draw a small
-// bounded number of values per measurement, so restores stay cheap.
+// The replay cost is linear in N: BenchmarkFromState replays 524,288
+// draws in about 2.8 ms on one core of a 2-CPU Xeon host. N is not small
+// for every tuner: one sampled BAO neighborhood draws up to 2048 x 32
+// trials x 8 knobs = 524,288 values, so restoring a BAO session costs
+// about that much per sampled step it has taken.
 func FromState(st State) *Source {
 	s := New(st.Seed)
 	for i := uint64(0); i < st.N; i++ {
@@ -73,6 +76,25 @@ func (s *Source) reseed(seed int64) {
 func (s *Source) Int63() int64 {
 	s.n++
 	return s.src.Int63()
+}
+
+// FillUntil draws raw Int63 values into buf in order, stopping after the
+// first value above limit. It returns that value's index, or len(buf)
+// when no value is above limit, and advances the counter by the number of
+// values drawn: the values, their order and the count are exactly those
+// of a loop of Int63 calls that stops at the same value.
+func (s *Source) FillUntil(buf []int64, limit int64) int {
+	src := s.src
+	for i := range buf {
+		v := src.Int63()
+		buf[i] = v
+		if v > limit {
+			s.n += uint64(i + 1)
+			return i
+		}
+	}
+	s.n += uint64(len(buf))
+	return len(buf)
 }
 
 // Uint64 draws the next value, advancing the counter by one. The

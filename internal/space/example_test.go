@@ -2,8 +2,8 @@ package space_test
 
 import (
 	"fmt"
-	"math/rand"
 
+	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/tensor"
 )
@@ -43,8 +43,8 @@ func ExampleSpace_Neighborhood() {
 		space.NewEnumKnob("b", 0, 1, 2, 3, 4, 5, 6),
 	)
 	center, _ := sp.FromIndices([]int{3, 3})
-	rng := rand.New(rand.NewSource(1))
-	nb := sp.Neighborhood(center, 1.5, space.NeighborhoodOpts{MaxCandidates: 8192}, rng)
+	src := rng.New(1)
+	nb := sp.Neighborhood(center, 1.5, space.NeighborhoodOpts{MaxCandidates: 8192}, src)
 	fmt.Println("neighbors:", len(nb))
 	// Output:
 	// neighbors: 8

@@ -2,9 +2,10 @@ package space
 
 import (
 	"math"
-	"math/rand"
+	"math/bits"
 
 	"repro/internal/par"
+	"repro/internal/rng"
 )
 
 // NeighborhoodOpts tunes Neighborhood enumeration.
@@ -29,15 +30,16 @@ type NeighborhoodOpts struct {
 // result order is deterministic for the enumerated case and rng-determined
 // for the sampled case.
 //
-// The sampled case draws each chunk of trials' raw rng values serially,
-// walks the chunk on par.Workers() goroutines, rejecting a trial at its
-// first coordinate outside the knob's range, and folds the accepted
-// trials serially in trial order (see sampleBall). It consumes exactly
-// the rng draws that walking every trial in full takes, and returns the
-// same configs in the same order at any GOMAXPROCS. The draw count is
-// part of the contract: tuner snapshots restore an rng by replaying its
-// counted draws, and the golden stream hashes pin it.
-func (s *Space) Neighborhood(center Config, radius float64, opts NeighborhoodOpts, rng *rand.Rand) []Config {
+// The sampled case draws each chunk of trials' raw values from src in one
+// FillUntil call, walks the chunk on par.Workers() goroutines, rejecting
+// a trial at its first coordinate outside the knob's range, and folds the
+// accepted trials serially in trial order (see sampleBall). It consumes
+// exactly the draws that walking every trial in full with
+// src.Rand().Int63n takes, and returns the same configs in the same order
+// at any GOMAXPROCS. The draw count is part of the contract: tuner
+// snapshots restore src by replaying its counted draws, and the golden
+// stream hashes pin it. The enumerated case draws nothing.
+func (s *Space) Neighborhood(center Config, radius float64, opts NeighborhoodOpts, src *rng.Source) []Config {
 	maxCand := opts.MaxCandidates
 	if radius <= 0 || maxCand <= 0 {
 		return nil
@@ -56,7 +58,7 @@ func (s *Space) Neighborhood(center Config, radius float64, opts NeighborhoodOpt
 	if ballSize <= enumLimit {
 		return s.enumerateBall(center, r2, maxCand, opts.Exclude)
 	}
-	return s.sampleBall(center, radius, maxCand, opts.Exclude, rng, par.Workers())
+	return s.sampleBall(center, radius, maxCand, opts.Exclude, src, par.Workers())
 }
 
 // latticeBallCount counts integer lattice points within squared distance r2
@@ -158,6 +160,15 @@ func (s *Space) enumerateBall(center Config, r2 float64, maxCand int, exclude ma
 // walkBlock is the number of buffered trials one par.For index walks.
 const walkBlock = 256
 
+// drawSource is the counted raw stream sampleBall draws from: a
+// *rng.Source in production. Int63 is one raw draw; FillUntil is
+// rng.Source.FillUntil, a run of them stopping after the first value
+// above limit.
+type drawSource interface {
+	Int63() int64
+	FillUntil(buf []int64, limit int64) int
+}
+
 // sampleBall draws offsets exactly uniformly from the lattice ball via the
 // same norm-count dynamic program used by latticeBallCount, then rejects
 // only clamping violations, the zero offset, duplicates and excluded
@@ -166,24 +177,26 @@ const walkBlock = 256
 //
 // The trials run in chunks of three stages:
 //
-//  1. Serial draw: the raw rng.Int63 values of the chunk's trials are
-//     drawn into a buffer in order, dim per trial, stopping at the first
-//     raw value above the ball's one-draw bound (see int63n).
+//  1. Serial draw: one src.FillUntil call draws the raw values of the
+//     chunk's trials into a buffer in order, dim per trial, stopping
+//     after the first raw value above the ball's one-draw bound (see
+//     int63n).
 //  2. Parallel walk: the complete trials before that value are walked on
 //     par.For across workers; a trial is rejected at its first
-//     coordinate outside the knob's range. Each walk writes only its own
+//     coordinate outside the knob's range, with no scan, by the
+//     per-call window table (see windows). Each walk writes only its own
 //     trial's slots: ok[t], and the offset over its raw draws.
 //  3. Serial fold: the accepted trials pass the zero, duplicate and
 //     Exclude checks in trial order. A trial that drew a raw value above
 //     the bound is finished last, serially, with exact Int63n semantics.
 //
-// The rng stream is the one a serial full walk of every trial takes.
-// Every trial takes exactly dim raw draws unless one of them is above the
-// bound, and the fill stops there. A trial adds at most one config, so a
-// chunk of min(maxTrials-t, maxCand-len(out)) trials never draws past the
-// trial at which the serial loop would stop. The result and its order
-// are therefore the same for any worker count.
-func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude map[uint64]bool, rng *rand.Rand, workers int) []Config {
+// The stream is the one a serial full walk of every trial with Int63n
+// takes. Every trial takes exactly dim raw draws unless one of them is
+// above the bound, and the fill stops there. A trial adds at most one
+// config, so a chunk of min(maxTrials-t, maxCand-len(out)) trials never
+// draws past the trial at which the serial loop would stop. The result
+// and its order are therefore the same for any worker count.
+func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude map[uint64]bool, src drawSource, workers int) []Config {
 	dim := len(s.knobs)
 	bs := newBallSampler(dim, radius)
 	// Knob i allows the offsets [lo[i], hi[i]] around the center.
@@ -196,6 +209,7 @@ func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude m
 		hi[i] = n - 1 - center.Index[i]
 		radix[i] = uint64(n)
 	}
+	win := bs.windows(lo, hi)
 	seen := make(map[uint64]bool, maxCand)
 	out := make([]Config, 0, maxCand)
 	fold := func(offset []int64) {
@@ -224,24 +238,15 @@ func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude m
 	// draws, dim per trial, and the walk turns them into offsets in place.
 	buf := make([]int64, maxCand*dim)
 	ok := make([]bool, maxCand)
-	safe := bs.safe
 	for t := 0; t < maxTrials && len(out) < maxCand; {
 		n := min(maxTrials-t, maxCand-len(out))
 		// Serial draw; filled ends at the index of a value above safe.
-		filled := n * dim
-		for j := range buf[:filled] {
-			v := rng.Int63()
-			buf[j] = v
-			if v > safe {
-				filled = j
-				break
-			}
-		}
+		filled := src.FillUntil(buf[:n*dim], bs.safe)
 		whole := filled / dim
 		// Parallel walk of the complete trials.
 		par.For((whole+walkBlock-1)/walkBlock, workers, func(b int) {
 			from, to := b*walkBlock, min(whole, (b+1)*walkBlock)
-			bs.walk(buf[from*dim:to*dim], ok[from:to], lo, hi)
+			bs.walk(buf[from*dim:to*dim], ok[from:to], win)
 		})
 		// Serial fold, in trial order.
 		for i := 0; i < whole; i++ {
@@ -252,7 +257,7 @@ func (s *Space) sampleBall(center Config, radius float64, maxCand int, exclude m
 		t += whole
 		if whole < n {
 			trial := buf[whole*dim : (whole+1)*dim]
-			if bs.finish(trial, filled-whole*dim, lo, hi, rng) {
+			if bs.finish(trial, filled-whole*dim, lo, hi, src) {
 				fold(trial)
 			}
 			t++
@@ -326,25 +331,99 @@ func newBallSampler(dim int, radius float64) *ballSampler {
 	}
 }
 
+// window is what the walk needs to draw coordinate i with squared-norm
+// budget q left, for one call's knob ranges. pick lays the draws
+// [0, total) out as one block of completions per offset k, from -rInt up:
+// block k is cum[rem][q-k*k] draws long (empty when k*k > q) and ends at
+// ends[k+rInt]. The offsets below lo[i] hold [0, a), those in
+// [lo[i], hi[i]] hold [a, b), and the blocks of all offsets end at sum. A
+// draw in [b, sum) or below a is out of range; one at or beyond sum is
+// pick's clamped-count fallback, offset 0. newBallSampler's counts keep
+// sum >= total, so the fallback is unreachable with them, but the walk
+// keeps pick's mapping for any table.
+type window struct {
+	total, a, b, sum int64
+	ends             []int64
+	// m and l reduce a raw draw modulo total without a division (see mod).
+	m uint64
+	l uint
+}
+
+// newWindow returns a window over [0, total) with mod's reciprocal set:
+// l = ceil(log2 total) and m = ceil(2^(63+l) / total), which fits 64 bits.
+func newWindow(total int64) window {
+	l := uint(bits.Len64(uint64(total - 1)))
+	hi, lo := uint64(0), uint64(1)<<63 // 2^(63+l) as a 128-bit value
+	if l > 0 {
+		hi, lo = 1<<(l-1), 0
+	}
+	m, rem := bits.Div64(hi, lo, uint64(total))
+	if rem != 0 {
+		m++
+	}
+	return window{total: total, m: m, l: l}
+}
+
+// mod returns v % w.total for 0 <= v < 2^63 with a multiply and a shift in
+// place of a division. floor(v/total) = floor(m*v / 2^(63+l)) for every
+// such v, because total*m - 2^(63+l) < total <= 2^l (Granlund and
+// Montgomery, "Division by invariant integers using multiplication",
+// 1994, Theorem 4.2 with N = 63).
+func (w *window) mod(v int64) int64 {
+	hi, lo := bits.Mul64(w.m, uint64(v))
+	quo := (hi<<1 | lo>>63) >> w.l
+	return v - int64(quo)*w.total
+}
+
+// windows returns the window table of one sampleBall call: entry
+// i*(q+1)+r is coordinate i with budget r left (at BAO's settings 8 x 21
+// entries).
+func (b *ballSampler) windows(lo, hi []int) []window {
+	rows, r, span := b.q+1, b.rInt, 2*b.rInt+1
+	win := make([]window, len(lo)*rows)
+	ends := make([]int64, len(win)*span)
+	for i := range lo {
+		rem := b.dim - i - 1
+		for q := 0; q < rows; q++ {
+			at := i*rows + q
+			e := ends[at*span : (at+1)*span]
+			var end int64
+			for k := -r; k <= r; k++ {
+				if k*k <= q {
+					end += b.cum[rem][q-k*k]
+				}
+				e[k+r] = end
+			}
+			w := newWindow(b.cum[rem+1][q])
+			w.ends, w.b, w.sum = e, e[min(hi[i], r)+r], e[2*r]
+			if lo[i] > -r {
+				w.a = e[lo[i]-1+r]
+			}
+			win[at] = w
+		}
+	}
+	return win
+}
+
 // walk replaces the raw draws of len(ok) trials in buf, dim per trial and
 // each at most safe, with offsets drawn uniformly from the ball (including
-// the origin; callers filter the zero offset). ok[t] reports whether
-// trial t's offset lies in [lo[i], hi[i]] for every knob i. A raw value
-// <= safe is exactly one rng.Int63n draw whatever the coordinate's total
-// is. A trial stops at its first coordinate outside the range, leaving
-// its offset partly written; its remaining raw draws were taken all the
-// same.
-func (b *ballSampler) walk(buf []int64, ok []bool, lo, hi []int) {
-	dim, cum := len(lo), b.cum
-	hi = hi[:dim]
+// the origin; callers filter the zero offset). win is the windows table of
+// the call's ranges lo and hi; ok[t] reports whether trial t's offset lies
+// in [lo[i], hi[i]] for every knob i. A raw value <= safe is exactly one
+// rng.Int63n draw whatever the coordinate's total is, so its draw is
+// v % total. A trial stops at its first coordinate outside the range,
+// leaving its offset partly written; its remaining raw draws were taken
+// all the same.
+func (b *ballSampler) walk(buf []int64, ok []bool, win []window) {
+	dim, rows := b.dim, b.q+1
 	for t := range ok {
 		trial := buf[t*dim : (t+1)*dim]
 		q := b.q
 		in := true
 		for i, v := range trial {
-			rem := dim - i - 1
-			k, left := b.pick(rem, q, v%cum[rem+1][q])
-			if k < lo[i] || k > hi[i] {
+			w := &win[i*rows+q]
+			k, left, kin := b.coord(w, q, w.mod(v))
+			if !kin {
 				in = false
 				break
 			}
@@ -355,14 +434,30 @@ func (b *ballSampler) walk(buf []int64, ok []bool, lo, hi []int) {
 	}
 }
 
+// coord maps draw, uniform in [0, w.total), to the offset k pick gives
+// it and the budget left, and reports whether k is in the coordinate's
+// range; w is the coordinate's window at budget q. A draw outside
+// [w.a, w.b) is decided without looking at the blocks, and one inside
+// counts the blocks that end at or below it, with no branch per block.
+func (b *ballSampler) coord(w *window, q int, draw int64) (k, left int, in bool) {
+	if draw >= w.a && draw < w.b {
+		k = -b.rInt
+		for _, end := range w.ends {
+			k -= int((end - draw - 1) >> 63) // 1 when end <= draw
+		}
+		return k, q - k*k, true
+	}
+	return 0, q, draw >= w.sum // pick's fallback offset, or out of range
+}
+
 // finish replaces the raw draws of a trial whose draw at coordinate last
 // is above safe with its offset: the coordinates before last keep their
 // raw draws, last completes rng.Int63n with finishInt63n, and the rest
-// draw with int63n, so rng takes exactly the draws a full walk of the
+// draw with int63n, so src takes exactly the draws a full walk of the
 // trial takes. Every coordinate is walked, in range or not, because each
 // total depends on the budget the coordinates before it leave. It reports
 // whether the whole offset is in range.
-func (b *ballSampler) finish(trial []int64, last int, lo, hi []int, rng *rand.Rand) bool {
+func (b *ballSampler) finish(trial []int64, last int, lo, hi []int, src drawSource) bool {
 	q := b.q
 	in := true
 	for i := range trial {
@@ -373,9 +468,9 @@ func (b *ballSampler) finish(trial []int64, last int, lo, hi []int, rng *rand.Ra
 		case i < last:
 			draw = trial[i] % total
 		case i == last:
-			draw = finishInt63n(rng, total, trial[i])
+			draw = finishInt63n(src, total, trial[i])
 		default:
-			draw = b.int63n(rng, total)
+			draw = b.int63n(src, total)
 		}
 		k, left := b.pick(rem, q, draw)
 		if k < lo[i] || k > hi[i] {
@@ -412,21 +507,21 @@ func (b *ballSampler) pick(rem, q int, draw int64) (k, left int) {
 // same raw draws. Int63n redraws a raw value only above
 // 2^63-1-(2^63 mod n), which is at least safe, so a first draw <= safe is
 // always kept as v%n (for a power-of-two n Int63n masks, v&(n-1) == v%n).
-func (b *ballSampler) int63n(rng *rand.Rand, n int64) int64 {
-	v := rng.Int63()
+func (b *ballSampler) int63n(src drawSource, n int64) int64 {
+	v := src.Int63()
 	if v <= b.safe {
 		return v % n
 	}
-	return finishInt63n(rng, n, v)
+	return finishInt63n(src, n, v)
 }
 
 // finishInt63n completes rng.Int63n(n) whose first raw draw was v, with
 // math/rand's exact semantics. A power-of-two n never redraws: 2^63 mod n
 // is 0.
-func finishInt63n(rng *rand.Rand, n, v int64) int64 {
+func finishInt63n(src drawSource, n, v int64) int64 {
 	limit := int64((1 << 63) - 1 - (1<<63)%uint64(n))
 	for v > limit {
-		v = rng.Int63()
+		v = src.Int63()
 	}
 	return v % n
 }

@@ -2,10 +2,10 @@ package space
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -45,8 +45,8 @@ func TestNeighborhoodExact(t *testing.T) {
 		NewEnumKnob("b", 0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
 	)
 	center, _ := s.FromIndices([]int{5, 5})
-	rng := rand.New(rand.NewSource(1))
-	got := s.Neighborhood(center, 1.5, NeighborhoodOpts{MaxCandidates: 8192}, rng)
+	src := rng.New(1)
+	got := s.Neighborhood(center, 1.5, NeighborhoodOpts{MaxCandidates: 8192}, src)
 	// r=1.5 in 2-D: offsets with d2 <= 2.25: the 8-neighborhood.
 	if len(got) != 8 {
 		t.Fatalf("neighborhood size = %d, want 8", len(got))
@@ -62,8 +62,8 @@ func TestNeighborhoodExact(t *testing.T) {
 func TestNeighborhoodClamping(t *testing.T) {
 	s := New(NewEnumKnob("a", 0, 1, 2), NewEnumKnob("b", 0, 1, 2))
 	corner, _ := s.FromIndices([]int{0, 0})
-	rng := rand.New(rand.NewSource(1))
-	got := s.Neighborhood(corner, 1.5, NeighborhoodOpts{MaxCandidates: 8192}, rng)
+	src := rng.New(1)
+	got := s.Neighborhood(corner, 1.5, NeighborhoodOpts{MaxCandidates: 8192}, src)
 	// Only offsets into the valid quadrant survive: (0,1),(1,0),(1,1).
 	if len(got) != 3 {
 		t.Fatalf("corner neighborhood = %d, want 3", len(got))
@@ -73,13 +73,13 @@ func TestNeighborhoodClamping(t *testing.T) {
 func TestNeighborhoodExclude(t *testing.T) {
 	s := New(NewEnumKnob("a", 0, 1, 2, 3, 4), NewEnumKnob("b", 0, 1, 2, 3, 4))
 	center, _ := s.FromIndices([]int{2, 2})
-	rng := rand.New(rand.NewSource(1))
-	all := s.Neighborhood(center, 1.0, NeighborhoodOpts{MaxCandidates: 8192}, rng)
+	src := rng.New(1)
+	all := s.Neighborhood(center, 1.0, NeighborhoodOpts{MaxCandidates: 8192}, src)
 	if len(all) != 4 {
 		t.Fatalf("r=1 neighborhood = %d, want 4", len(all))
 	}
 	ex := map[uint64]bool{all[0].Flat(): true}
-	got := s.Neighborhood(center, 1.0, NeighborhoodOpts{MaxCandidates: 8192, Exclude: ex}, rng)
+	got := s.Neighborhood(center, 1.0, NeighborhoodOpts{MaxCandidates: 8192, Exclude: ex}, src)
 	if len(got) != 3 {
 		t.Fatalf("excluded neighborhood = %d, want 3", len(got))
 	}
@@ -87,11 +87,11 @@ func TestNeighborhoodExclude(t *testing.T) {
 
 func TestNeighborhoodZeroRadius(t *testing.T) {
 	s := testSpace()
-	rng := rand.New(rand.NewSource(1))
-	if got := s.Neighborhood(s.FromFlat(0), 0, NeighborhoodOpts{MaxCandidates: 8192}, rng); got != nil {
+	src := rng.New(1)
+	if got := s.Neighborhood(s.FromFlat(0), 0, NeighborhoodOpts{MaxCandidates: 8192}, src); got != nil {
 		t.Fatal("zero radius should return nil")
 	}
-	if got := s.Neighborhood(s.FromFlat(0), 2, NeighborhoodOpts{}, rng); got != nil {
+	if got := s.Neighborhood(s.FromFlat(0), 2, NeighborhoodOpts{}, src); got != nil {
 		t.Fatal("zero candidate cap should return nil")
 	}
 }
@@ -101,15 +101,15 @@ func TestNeighborhoodCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	center := s.Random(rng)
+	src := rng.New(2)
+	center := s.Random(src.Rand())
 	// Move the center inward so the ball is not mostly clipped.
 	for i := range center.Index {
 		if center.Index[i] == 0 {
 			center.Index[i] = s.Knob(i).Len() / 2
 		}
 	}
-	got := s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: 500}, rng)
+	got := s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: 500}, src)
 	if len(got) == 0 || len(got) > 500 {
 		t.Fatalf("capped neighborhood size = %d", len(got))
 	}
@@ -140,8 +140,8 @@ func TestNeighborhoodLargeRadiusSampled(t *testing.T) {
 	s := New(knobs...)
 	idx := []int{500, 500, 500, 500, 500, 500, 500, 500}
 	center, _ := s.FromIndices(idx)
-	rng := rand.New(rand.NewSource(3))
-	got := s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: 1000}, rng)
+	src := rng.New(3)
+	got := s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: 1000}, src)
 	if len(got) != 1000 {
 		t.Fatalf("sampled neighborhood = %d, want 1000", len(got))
 	}
@@ -156,8 +156,8 @@ func TestNeighborhoodLargeRadiusSampled(t *testing.T) {
 func TestNeighborhoodDeterministicEnumeration(t *testing.T) {
 	s := New(NewEnumKnob("a", 0, 1, 2, 3, 4, 5, 6), NewEnumKnob("b", 0, 1, 2, 3, 4, 5, 6))
 	center, _ := s.FromIndices([]int{3, 3})
-	a := s.Neighborhood(center, 2, NeighborhoodOpts{MaxCandidates: 8192}, rand.New(rand.NewSource(1)))
-	b := s.Neighborhood(center, 2, NeighborhoodOpts{MaxCandidates: 8192}, rand.New(rand.NewSource(99)))
+	a := s.Neighborhood(center, 2, NeighborhoodOpts{MaxCandidates: 8192}, rng.New(1))
+	b := s.Neighborhood(center, 2, NeighborhoodOpts{MaxCandidates: 8192}, rng.New(99))
 	if len(a) != len(b) {
 		t.Fatal("enumerated neighborhoods differ in size")
 	}
@@ -175,10 +175,10 @@ func TestNeighborhoodGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
-	center := s.Random(rng)
-	small := s.Neighborhood(center, 3, NeighborhoodOpts{MaxCandidates: math.MaxInt32}, rng)
-	large := s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: math.MaxInt32}, rng)
+	src := rng.New(4)
+	center := s.Random(src.Rand())
+	small := s.Neighborhood(center, 3, NeighborhoodOpts{MaxCandidates: math.MaxInt32}, src)
+	large := s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: math.MaxInt32}, src)
 	if len(large) < len(small) {
 		t.Fatalf("tau*R ball (%d) smaller than R ball (%d)", len(large), len(small))
 	}
@@ -198,8 +198,8 @@ func BenchmarkNeighborhoodSampled(b *testing.B) {
 	if s.NumKnobs() != 8 {
 		b.Fatalf("conv2d space has %d knobs, want 8", s.NumKnobs())
 	}
-	rng := rand.New(rand.NewSource(3))
-	random := s.Random(rng)
+	src := rng.New(3)
+	random := s.Random(src.Rand())
 	corner, err := s.FromIndices([]int{0, 0, 0, 3, 0, 1, 1, 0})
 	if err != nil {
 		b.Fatal(err)
@@ -211,7 +211,7 @@ func BenchmarkNeighborhoodSampled(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.Neighborhood(bc.center, 4.5, NeighborhoodOpts{MaxCandidates: 2048}, rng)
+				s.Neighborhood(bc.center, 4.5, NeighborhoodOpts{MaxCandidates: 2048}, src)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // The full-walk sampler below draws every trial's whole offset with
@@ -163,20 +164,56 @@ func (s *posSource) Int63() int64 {
 
 func (s *posSource) Seed(seed int64) { s.base.Seed(seed) }
 
+// countedSource is a raw stream that both the full-walk oracle (through
+// rand.New) and sampleBall (as its drawSource) can draw from, and that
+// counts its draws in State().N: a seeded *rng.Source, or a testSource.
+type countedSource interface {
+	drawSource
+	rand.Source
+	State() rng.State
+}
+
+// testSource puts a scripted or injected rand.Source behind sampleBall's
+// drawSource: FillUntil is the loop of Int63 calls it stands for. It
+// counts the values drawn.
+type testSource struct {
+	rand.Source
+	n uint64
+}
+
+func (s *testSource) Int63() int64 {
+	s.n++
+	return s.Source.Int63()
+}
+
+func (s *testSource) FillUntil(buf []int64, limit int64) int {
+	for i := range buf {
+		buf[i] = s.Int63()
+		if buf[i] > limit {
+			return i
+		}
+	}
+	return len(buf)
+}
+
+func (s *testSource) State() rng.State { return rng.State{N: s.n} }
+
 // widths are the worker counts every sampleBall equivalence check runs at.
 var widths = []int{1, 2, 4}
 
 // requireSameSample runs the full-walk oracle and, at every worker count
-// in widths, sampleBall, each on an rng built by newSrc, and requires the
-// same configs and the same next draw. It returns the number of configs.
-func requireSameSample(t *testing.T, name string, s *Space, center Config, radius float64, maxCand int, exclude map[uint64]bool, newSrc func() rand.Source) int {
+// in widths, sampleBall, each on a source built by newSrc, and requires
+// the same configs, the same draw count and the same next draw. It
+// returns the number of configs.
+func requireSameSample(t *testing.T, name string, s *Space, center Config, radius float64, maxCand int, exclude map[uint64]bool, newSrc func() countedSource) int {
 	t.Helper()
-	oracleRng := rand.New(newSrc())
-	want := s.sampleBallFullWalk(center, radius, maxCand, exclude, oracleRng)
-	wantNext := oracleRng.Int63()
+	oracle := newSrc()
+	want := s.sampleBallFullWalk(center, radius, maxCand, exclude, rand.New(oracle))
+	wantN := oracle.State().N
+	wantNext := oracle.Int63()
 	for _, w := range widths {
-		rng := rand.New(newSrc())
-		got := s.sampleBall(center, radius, maxCand, exclude, rng, w)
+		src := newSrc()
+		got := s.sampleBall(center, radius, maxCand, exclude, src, w)
 		if len(got) != len(want) {
 			t.Fatalf("%s, %d workers: %d configs, full walk %d", name, w, len(got), len(want))
 		}
@@ -185,7 +222,10 @@ func requireSameSample(t *testing.T, name string, s *Space, center Config, radiu
 				t.Fatalf("%s, %d workers: config %d is %v, full walk %v", name, w, i, got[i].Index, want[i].Index)
 			}
 		}
-		if g := rng.Int63(); g != wantNext {
+		if n := src.State().N; n != wantN {
+			t.Fatalf("%s, %d workers: %d draws, full walk %d", name, w, n, wantN)
+		}
+		if g := src.Int63(); g != wantNext {
 			t.Fatalf("%s, %d workers: next draw %d, full walk %d: the draw counts differ", name, w, g, wantNext)
 		}
 	}
@@ -228,13 +268,13 @@ func testCenters(s *Space, rng *rand.Rand) []namedCenter {
 	return out
 }
 
-func seeded(seed int64) func() rand.Source {
-	return func() rand.Source { return rand.NewSource(seed) }
+func seeded(seed int64) func() countedSource {
+	return func() countedSource { return rng.New(seed) }
 }
 
-func injected(seed, maxTotal int64) func() rand.Source {
-	return func() rand.Source {
-		return &injectSource{base: rand.NewSource(seed), pick: rand.NewSource(^seed), every: 5, maxTotal: maxTotal}
+func injected(seed, maxTotal int64) func() countedSource {
+	return func() countedSource {
+		return &testSource{Source: &injectSource{base: rand.NewSource(seed), pick: rand.NewSource(^seed), every: 5, maxTotal: maxTotal}}
 	}
 }
 
@@ -254,14 +294,14 @@ func TestSampleBallMatchesFullWalkMobileNet(t *testing.T) {
 	if len(tasks) == 0 {
 		t.Fatal("no mobilenet-v1 conv tasks")
 	}
-	rng := rand.New(rand.NewSource(11))
+	rnd := rand.New(rand.NewSource(11))
 	n, full, short := 0, 0, 0
 	for ti, task := range tasks {
 		s, err := ForWorkload(task.Workload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ci, nc := range testCenters(s, rng) {
+		for ci, nc := range testCenters(s, rnd) {
 			center := nc.c
 			for ri, radius := range []float64{3, 4.5} {
 				n++
@@ -298,10 +338,10 @@ func TestSampleBallMatchesFullWalkMobileNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	center := testCenters(s, rng)[4].c // middle
+	center := testCenters(s, rnd)[4].c // middle
 	requireSameSample(t, "cap-2048", s, center, 4.5, 2048, nil, seeded(3))
 	want := s.sampleBallFullWalk(center, 4.5, 2048, nil, rand.New(rand.NewSource(3)))
-	got := s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: 2048}, rand.New(rand.NewSource(3)))
+	got := s.Neighborhood(center, 4.5, NeighborhoodOpts{MaxCandidates: 2048}, rng.New(3))
 	if len(got) != len(want) {
 		t.Fatalf("Neighborhood: %d configs, full walk %d", len(got), len(want))
 	}
@@ -329,8 +369,8 @@ func tinyKnobSpace() *Space {
 
 func TestSampleBallMatchesFullWalkTinyKnobs(t *testing.T) {
 	s := tinyKnobSpace()
-	rng := rand.New(rand.NewSource(12))
-	for _, nc := range testCenters(s, rng) {
+	rnd := rand.New(rand.NewSource(12))
+	for _, nc := range testCenters(s, rnd) {
 		center := nc.c
 		for _, radius := range []float64{1.5, 3, 4.5} {
 			for _, ex := range []map[uint64]bool{nil, excludeSome(s, center, radius)} {
@@ -417,16 +457,16 @@ func TestSampleBallScriptedDraws(t *testing.T) {
 			}{"walked-total-one", cat(rawFor(bs, 0, 0, 0, 0, 0, -3), []int64{top, top, 42})})
 		}
 		for _, sc := range scripts {
-			newSrc := func() rand.Source {
-				return &scriptSource{script: append([]int64(nil), sc.script...), base: rand.NewSource(9)}
+			newSrc := func() countedSource {
+				return &testSource{Source: &scriptSource{script: append([]int64(nil), sc.script...), base: rand.NewSource(9)}}
 			}
 			requireSameSample(t, sc.name, s, center, radius, 8, nil, newSrc)
 		}
 	}
 	// A ball of one point: every total is 1, so Int63n masks and takes one
 	// draw even for the largest raw value.
-	one := func() rand.Source {
-		return &scriptSource{script: []int64{top, top, 0, top}, base: rand.NewSource(9)}
+	one := func() countedSource {
+		return &testSource{Source: &scriptSource{script: []int64{top, top, 0, top}, base: rand.NewSource(9)}}
 	}
 	requireSameSample(t, "radius-0.5", s, center, 0.5, 8, nil, one)
 }
@@ -458,8 +498,8 @@ func requireUnsafeAt(t *testing.T, name string, s *Space, center Config, radius 
 	for _, tc := range at {
 		for _, v := range []int64{safe1, math.MaxInt64} {
 			pos := tc[0]*dim + tc[1]
-			newSrc := func() rand.Source {
-				return &posSource{base: rand.NewSource(seed), at: map[int]int64{pos: v}}
+			newSrc := func() countedSource {
+				return &testSource{Source: &posSource{base: rand.NewSource(seed), at: map[int]int64{pos: v}}}
 			}
 			requireSameSample(t, fmt.Sprintf("%s/trial-%d-coord-%d/%d", name, tc[0], tc[1], v), s, center, radius, maxCand, exclude, newSrc)
 		}

@@ -115,7 +115,7 @@ func (t *AdvancedTuner) Open(task *Task, b backend.Backend, opts Options, st *Se
 			last := s.samples[len(s.samples)-1]
 			return last.GFLOPS, last.Valid
 		}
-		stop := !run.Step(rng, s.knowledge(), s.visited, measure) || s.exhausted(ctx)
+		stop := !run.Step(s.src, s.knowledge(), s.visited, measure) || s.exhausted(ctx)
 		//lint:ignore walltime PhaseTimes observability: reported upward only, tuning decisions never read it
 		opts.Phases.Add(PhaseCandidateSelection, time.Since(stepStart)-measured)
 		return stop
