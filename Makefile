@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test determinism bench-smoke serve-smoke cover perfbench-test lint lint-sarif fmt-check verify
+.PHONY: all build test determinism portable bench-smoke serve-smoke cover perfbench-test lint lint-sarif fmt-check verify
 
 all: build test lint
 
@@ -43,6 +43,19 @@ test:
 determinism:
 	$(GO) test -race -count=1 -timeout 30m \
 		./internal/hwsim ./internal/transfer ./internal/tuner ./internal/active ./internal/linalg ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/snap ./internal/rng ./internal/space ./internal/job ./internal/serve ./internal/repro ./cmd/tune ./cmd/served
+
+# The paths the default build skips on an AVX2+FMA machine: the pure-Go
+# fallbacks of the kernel packages (-tags purego), and the vector RBF Gram
+# kernel's self-check with FMA masked off, where math.Exp takes its
+# non-FMA code and the kernel must stand down so every Gram entry keeps
+# math.Exp's bits. Under cpu.fma=off internal/active runs its TED, BTED
+# and Embed tests only: TestGoldenTrainerPredictions pins predictions
+# computed through math.Exp's FMA code (the simulator's noise factor), so
+# it cannot pass with FMA masked on any commit.
+portable:
+	$(GO) test -count=1 -tags purego ./internal/linalg ./internal/active ./internal/rng ./internal/hwsim
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/linalg
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'TED|Embed' ./internal/active
 
 # Benchmark smoke pass: every committed benchmark must still compile and
 # run (one iteration; not a timing source).

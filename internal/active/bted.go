@@ -63,7 +63,7 @@ func BTED(sp *space.Space, p BTEDParams, rng *rand.Rand) []space.Config {
 	var union []space.Config
 	for b := 0; b < p.B; b++ {
 		batch := sp.RandomSample(p.M, rng)
-		picked := TEDConfigs(batch, btedMu, p.M0, p.View, p.Kernel, rng)
+		picked := TEDConfigs(batch, btedMu, p.M0, p.View, p.Kernel)
 		for _, c := range picked {
 			f := c.Flat()
 			if seen[f] {
@@ -73,7 +73,7 @@ func BTED(sp *space.Space, p BTEDParams, rng *rand.Rand) []space.Config {
 			union = append(union, c)
 		}
 	}
-	return TEDConfigs(union, btedMu, p.M0, p.View, p.Kernel, rng)
+	return TEDConfigs(union, btedMu, p.M0, p.View, p.Kernel)
 }
 
 // RandomInit draws the AutoTVM-style random initialization set of the same

@@ -6,7 +6,6 @@ package active
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/linalg"
@@ -23,6 +22,7 @@ type tedWorkspace struct {
 	diag  []float64 // residual diagonal (K_t)_jj
 	c     []float64 // current residual column K_t e_x
 	w     []float64 // K_t c, the rank-1 norm-downdate direction
+	hist  []float64 // per-point history dots ut[i]·g, then ut[j]·d
 	d     []float64 // d_s = u_s·c, the per-downdate correction coefficients
 	g     []float64 // Ut row of the current pick (u_s[best] for all s)
 	u     []float64 // m x n flat; row s is the downdate vector u_s
@@ -43,6 +43,7 @@ func (ws *tedWorkspace) resize(n, m int) {
 	ws.diag = grow(ws.diag, n)
 	ws.c = grow(ws.c, n)
 	ws.w = grow(ws.w, n)
+	ws.hist = grow(ws.hist, n)
 	ws.d = grow(ws.d, m)
 	ws.g = grow(ws.g, m)
 	ws.u = grow(ws.u, m*n)
@@ -137,32 +138,32 @@ func tedWithWorkers(feats [][]float64, mu float64, m int, k linalg.Kernel, worke
 		// the immutable K₀ row (K₀ is symmetric, so the row IS the column —
 		// a contiguous read) minus the stored downdates. The transpose
 		// layout ws.ut makes the per-element correction Σ_s u_s[i]·u_s[best]
-		// a contiguous 8-lane dot over row i's downdate history.
+		// a contiguous 8-lane dot over row i's downdate history, and all n
+		// of them are one strided mat-vec over ws.ut.
 		copy(c, K.Row(best))
 		if nd > 0 {
 			g := ws.g[:nd]
 			copy(g, ws.ut[best*m:best*m+nd])
-			for i := 0; i < n; i++ {
-				c[i] -= linalg.LaneDot(ws.ut[i*m:i*m+nd], g)
+			linalg.LaneDotRows(ws.hist, ws.ut, m, g, nil)
+			for i, h := range ws.hist {
+				c[i] -= h
 			}
 		}
 
 		// w = K_t c = K₀c − Σ_s u_s (u_s·c): one masked read-only mat-vec
 		// over K₀ (rows of already-taken points are dead — their norms are
 		// never read again) plus O(t·n) corrections. The coefficients
-		// d_s = u_s·c come from the row-major copy of the downdates; the
-		// per-row corrections Σ_s u_s[j]·d_s from the transpose, fused into
-		// the downdate pass below.
+		// d_s = u_s·c are a mat-vec over the row-major copy of the
+		// downdates; the per-row corrections Σ_s u_s[j]·d_s one over the
+		// transpose, in the downdate pass below.
 		K.MulVecMaskedInto(w, c, taken, workers)
 		d := ws.d[:nd]
-		for s := 0; s < nd; s++ {
-			d[s] = linalg.LaneDot(ws.u[s*n:s*n+n], c)
-		}
+		linalg.LaneDotRows(d, ws.u, n, c, nil)
 		S := linalg.LaneDot(c, c)
 
 		// Record u_t = c/√denom (so K_{t+1} = K_t − u_t u_tᵀ) in both
 		// layouts. The transpose write lands in column nd, past the [:nd]
-		// prefixes the fused pass below reads.
+		// prefixes the history mat-vec below reads.
 		scale := 1 / math.Sqrt(denom)
 		urow := ws.u[nd*n : nd*n+n]
 		for i, v := range c {
@@ -171,15 +172,17 @@ func tedWithWorkers(feats [][]float64, mu float64, m int, k linalg.Kernel, worke
 			ws.ut[i*m+nd] = uv
 		}
 
-		// Fused O(n·(1+nd)) downdate of the residual norms and diagonal:
+		// O(n·(1+nd)) downdate of the residual norms and diagonal, after
+		// one masked strided mat-vec for the history dots Σ_s u_s[j]·d_s:
 		//   w_j          −= Σ_s u_s[j]·d_s   (finishing w = K_t c)
 		//   ‖K_{t+1} e_j‖² = ‖K_t e_j‖² − (c_j/denom)·(2 w_j − (c_j/denom)·S)
 		//   (K_{t+1})_jj   = (K_t)_jj − c_j·(c_j/denom)
+		linalg.LaneDotRows(ws.hist, ws.ut, m, d, taken)
 		for j := 0; j < n; j++ {
 			if taken[j] {
 				continue
 			}
-			wj := w[j] - linalg.LaneDot(ws.ut[j*m:j*m+nd], d)
+			wj := w[j] - ws.hist[j]
 			a := c[j] / denom
 			norms[j] -= a * (2*wj - a*S)
 			diag[j] -= c[j] * a
@@ -266,7 +269,7 @@ func standardize(X [][]float64) {
 
 // TEDConfigs runs TED over a batch of configurations with the given view
 // and kernel, returning the selected configs in pick order.
-func TEDConfigs(cfgs []space.Config, mu float64, m int, view FeatureView, k linalg.Kernel, _ *rand.Rand) []space.Config {
+func TEDConfigs(cfgs []space.Config, mu float64, m int, view FeatureView, k linalg.Kernel) []space.Config {
 	idx := TED(Embed(cfgs, view), mu, m, k)
 	out := make([]space.Config, len(idx))
 	for i, j := range idx {

@@ -73,18 +73,46 @@ func BenchmarkGramMatrix(b *testing.B) {
 
 // BenchmarkGramMatrixWorkers isolates the pool-dispatch overhead the
 // gramParallelThreshold comment quotes: the same build, serial vs forced
-// onto the pool. The threshold is the smallest n where the dispatch cost
-// disappears into the O(n²) kernel evaluations.
+// onto the pool, at 8 feature dimensions and at conv2d's 20. The threshold
+// is the smallest n where the dispatch cost disappears into the O(n²)
+// kernel evaluations.
 func BenchmarkGramMatrixWorkers(b *testing.B) {
-	k := RBFKernel{Gamma: 1.0 / 8}
-	for _, n := range []int{32, 64, 96, 128, 192, 256} {
-		vecs := benchVecs(n, 8, 2)
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					GramMatrixParallel(vecs, k, workers)
-				}
-			})
+	for _, d := range []int{8, 20} {
+		k := RBFKernel{Gamma: 1.0 / float64(d)}
+		for _, n := range []int{32, 64, 96, 128, 192, 256, 384, 512, 640} {
+			vecs := benchVecs(n, d, 2)
+			for _, workers := range []int{1, 2, 4} {
+				b.Run(fmt.Sprintf("d=%d/n=%d/workers=%d", d, n, workers), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						GramMatrixParallel(vecs, k, workers)
+					}
+				})
+			}
 		}
+	}
+}
+
+// BenchmarkGramBatch is one TED batch's Gram build (n=500 points of conv2d's
+// 20 feature dimensions) on one worker.
+func BenchmarkGramBatch(b *testing.B) {
+	vecs := benchVecs(500, 20, 3)
+	m := NewMatrix(0, 0)
+	k := RBFKernel{Gamma: 1.0 / 20}
+	for i := 0; i < b.N; i++ {
+		GramMatrixInto(m, vecs, k, 1)
+	}
+}
+
+// BenchmarkMulVec is TED's per-pick mat-vec over a 500×500 Gram matrix on
+// one worker.
+func BenchmarkMulVec(b *testing.B) {
+	m := GramMatrixParallel(benchVecs(500, 8, 4), RBFKernel{Gamma: 1.0 / 8}, 1)
+	x := make([]float64, 500)
+	for i := range x {
+		x[i] = m.At(i, 7)
+	}
+	dst := make([]float64, 500)
+	for i := 0; i < b.N; i++ {
+		m.MulVecInto(dst, x, 1)
 	}
 }

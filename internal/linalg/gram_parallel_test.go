@@ -23,9 +23,9 @@ func randVecs(n, d int, seed int64) [][]float64 {
 // evaluated exactly once by exactly one worker, so the matrix must be
 // bit-identical for any worker count.
 func TestGramMatrixParallelWorkerInvariance(t *testing.T) {
-	// 150 rows crosses gramParallelThreshold, so GramMatrix itself takes the
+	// More rows than gramParallelThreshold, so GramMatrix itself takes the
 	// pooled path.
-	vecs := randVecs(150, 6, 5)
+	vecs := randVecs(gramParallelThreshold+22, 6, 5)
 	for _, k := range []Kernel{RBFKernel{Gamma: 0.5}, LinearKernel{}, DistanceKernel{}} {
 		ref := GramMatrixParallel(vecs, k, 1)
 		for _, workers := range []int{4, 8} {

@@ -8,6 +8,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/par"
 )
@@ -209,14 +210,15 @@ func (DistanceKernel) Eval(a, b []float64) float64 { return Dist(a, b) }
 func (DistanceKernel) Name() string { return "euclidean" }
 
 // gramParallelThreshold is the matrix order below which GramMatrix stays
-// serial. Measured with BenchmarkGramMatrixWorkers (d=8 RBF build, serial
-// vs forced onto the pool): pool dispatch costs a flat ~4-6µs per build, or
-// ~40% of an n=32 build, ~14% at n=64, ~6% at n=96 and ~3% at n=128, after
-// which it disappears into the O(n²) kernel evaluations. 128 is the first
-// sweep point where the dispatch overhead is inside run-to-run noise, so a
-// multi-core pool win is not squandered and single-core boxes lose ~3% at
-// worst. Re-run the sweep when the gram fast path changes materially.
-const gramParallelThreshold = 128
+// serial. Measured with BenchmarkGramMatrixWorkers (RBF build, serial vs 2
+// workers, medians of 7 runs on a 2-CPU Xeon) after the AVX2+FMA vector
+// kernel made each entry ~4x cheaper: at n=128 the pool costs +40% (d=8,
+// 68 → 95 µs) and +28% (d=20, 94 → 120 µs); at n=192 it is even (d=8,
+// 151 vs 149 µs) or ahead (d=20, 203 → 185 µs); at n=256 it wins 5% (d=8)
+// and 21% (d=20). 192 is the first sweep point where the dispatch overhead
+// is inside run-to-run noise. Re-run the sweep when the gram fast path
+// changes materially.
+const gramParallelThreshold = 192
 
 // GramMatrix builds the |V| x |V| kernel matrix over the given vectors.
 // The result is symmetric; only the upper triangle is computed directly.
@@ -255,19 +257,37 @@ func GramMatrixInto(dst *Matrix, vecs [][]float64, k Kernel, workers int) {
 func gramInto(m *Matrix, vecs [][]float64, k Kernel, workers int) {
 	n := len(vecs)
 	// Fast path for the RBF kernel (the default and by far the hottest):
-	// devirtualized, with the 4-lane squared distance. The lane split is a
-	// fixed property of this path — never data- or worker-dependent — so
-	// entries are deterministic and bit-identical for every workers value
-	// (they may differ from serial RBFKernel.Eval in the last ulp, which no
-	// caller pins).
+	// devirtualized, with the 4-lane squared distance, and on amd64 with
+	// AVX2+FMA the vector kernel of gramRowRBF. The lane split is a fixed
+	// property of this path — never data- or worker-dependent — so entries
+	// are deterministic and bit-identical for every workers value (they may
+	// differ from serial RBFKernel.Eval in the last ulp, which no caller
+	// pins).
 	if rbf, ok := k.(RBFKernel); ok {
-		gamma := rbf.Gamma
+		var xt []float64
+		if gramFMA() {
+			buf := transposeFeatures(vecs)
+			if buf != nil {
+				defer gramScratch.Put(buf)
+				xt = *buf
+			}
+		}
 		par.For(n, workers, func(i int) {
-			vi := vecs[i]
-			for j := i; j < n; j++ {
-				v := math.Exp(-gamma * dist2Lanes(vi, vecs[j]))
-				m.Set(i, j, v)
-				m.Set(j, i, v)
+			gramRowRBF(m, vecs, xt, i, rbf.Gamma)
+		})
+		// The lower triangle in a second pass over bands of 8 rows, each
+		// filled from one 8-entry (cache-line) segment per upper row, so
+		// the reads stream row by row and no two workers write
+		// neighbouring entries. Mirroring each upper row as it was
+		// finished would write one entry of every lower row per step, and
+		// with several workers the same lines at once.
+		par.For((n+7)/8, workers, func(b int) {
+			j0, j1 := 8*b, min(n, 8*b+8)
+			for i := 0; i < j1-1; i++ {
+				upper := m.Data[i*n : i*n+j1]
+				for j := max(j0, i+1); j < j1; j++ {
+					m.Data[j*n+i] = upper[j]
+				}
 			}
 		})
 		return
@@ -280,4 +300,70 @@ func gramInto(m *Matrix, vecs [][]float64, k Kernel, workers int) {
 			m.Set(j, i, v)
 		}
 	})
+}
+
+// gramScratch pools the transposed feature blocks of the RBF vector
+// kernel, so BTED's back-to-back builds reuse one buffer.
+var gramScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// transposeFeatures copies vecs into a pooled d×n block, xt[k*n+j] =
+// vecs[j][k], the layout in which the vector kernel reads four columns of
+// one dimension with one load. It returns nil (no kernel) for ragged or
+// zero-dimensional input.
+func transposeFeatures(vecs [][]float64) *[]float64 {
+	n := len(vecs)
+	if n == 0 || len(vecs[0]) == 0 {
+		return nil
+	}
+	d := len(vecs[0])
+	for _, v := range vecs {
+		if len(v) != d {
+			return nil
+		}
+	}
+	buf := gramScratch.Get().(*[]float64)
+	if cap(*buf) < d*n {
+		*buf = make([]float64, d*n)
+	}
+	xt := (*buf)[:d*n]
+	for j, v := range vecs {
+		for k, f := range v {
+			xt[k*n+j] = f
+		}
+	}
+	*buf = xt
+	return buf
+}
+
+// gramRowRBF writes the upper-triangle part of row i, entries (i, j) =
+// exp(-gamma·dist2Lanes(v_i, v_j)) for j >= i. With a transposed block xt
+// (vector kernel enabled) the columns from the first multiple of 4 up to
+// the last full 4-block go through gramRowFMA, whose lanes repeat
+// dist2Lanes and math.Exp bit for bit; the columns before and after, and
+// any block with an exponent outside the kernel's window, take the scalar
+// code. Every entry is therefore the same bits with or without the kernel.
+func gramRowRBF(m *Matrix, vecs [][]float64, xt []float64, i int, gamma float64) {
+	n := len(vecs)
+	row := m.Data[i*n : i*n+n]
+	vi := vecs[i]
+	j := i
+	if xt != nil {
+		for first := min(n, (i+3)&^3); j < first; j++ {
+			row[j] = math.Exp(-gamma * dist2Lanes(vi, vecs[j]))
+		}
+		jend := j + (n-j)&^3
+		for j < jend {
+			j = gramRowFMA(row, vi, xt, n, j, jend, -gamma)
+			if j < jend {
+				// A lane left the window: row[j:j+4] holds the exponents.
+				for e := j; e < j+4; e++ {
+					row[e] = math.Exp(row[e])
+				}
+				j += 4
+			}
+		}
+	}
+	for ; j < n; j++ {
+		row[j] = math.Exp(-gamma * dist2Lanes(vi, vecs[j]))
+	}
 }

@@ -12,17 +12,49 @@ import (
 // is identical for any workers value.
 const mulVecBlockRows = 64
 
-// mulVecRows computes dst[i] = row_i(data) · x for i in [lo, hi), skipping
-// masked rows. Each dst[i] is the canonical 8-lane dot product of row i
-// with x (see laneDotGeneric), so every element carries the same bits
-// regardless of which path — serial, blocked-parallel, assembly or portable
-// fallback — produced it.
-func mulVecRows(data []float64, cols int, x, dst []float64, lo, hi int, skip []bool) {
+// mulVecRows computes dst[i] = row_i · x for i in [lo, hi), skipping
+// masked rows, where row i is data[i*stride : i*stride+len(x)]. Unmasked
+// rows go four at a time through laneDot4, which shares the loads of x;
+// each dst[i] is still the canonical 8-lane dot product of row i with x
+// (see laneDotGeneric), so every element carries the same bits regardless
+// of the grouping or of which path — serial, blocked-parallel, assembly or
+// portable fallback — produced it.
+func mulVecRows(data []float64, stride int, x, dst []float64, lo, hi int, skip []bool) {
+	var rows [4]int
+	var out [4]float64
+	k := 0
 	for i := lo; i < hi; i++ {
-		if skip == nil || !skip[i] {
-			dst[i] = laneDot(data[i*cols : i*cols+cols][:len(x)], x)
+		if skip != nil && skip[i] {
+			continue
+		}
+		rows[k] = i
+		k++
+		if k == 4 {
+			laneDot4(data[rows[0]*stride:], data[rows[1]*stride:], data[rows[2]*stride:], data[rows[3]*stride:], x, &out)
+			for r, row := range rows {
+				dst[row] = out[r]
+			}
+			k = 0
 		}
 	}
+	for _, i := range rows[:k] {
+		dst[i] = laneDot(data[i*stride:i*stride+len(x)], x)
+	}
+}
+
+// LaneDotRows computes dst[i] = LaneDot(data[i*stride : i*stride+len(x)],
+// x) for every i with skip[i] false (a nil skip computes every row); the
+// other dst entries are left untouched. It is the strided, serial form of
+// MulVecMaskedInto, for matrices stored as the first len(x) entries of
+// stride-long rows: TED's per-pick corrections over its growing downdate
+// history. Every dst[i] is bit-identical to the LaneDot call it replaces.
+func LaneDotRows(dst, data []float64, stride int, x []float64, skip []bool) {
+	n := len(dst)
+	if stride < len(x) || (n > 0 && (n-1)*stride+len(x) > len(data)) || (skip != nil && len(skip) != n) {
+		//lint:ignore panicpath kernel invariant: dimension mismatch is a programmer error, panics like gonum/mat
+		panic(fmt.Sprintf("linalg: LaneDotRows dimension mismatch: %d rows of stride %d over %d elements, len(x)=%d", n, stride, len(data), len(x)))
+	}
+	mulVecRows(data, stride, x, dst, 0, n, skip)
 }
 
 // MulVecInto computes dst = M·x, distributing fixed-size row blocks over at

@@ -13,6 +13,12 @@
 // is why Source wraps math/rand's additive-lagged-Fibonacci source instead
 // of swapping in a different two-word generator (splitmix64/PCG would
 // serialize just as small but would change every historical stream).
+//
+// Lazy is the same stream for the other common shape of use: a fresh seed
+// and a handful of draws, as in hwsim's per-measurement noise. Seeding
+// math/rand fills 607 words before the first draw; Lazy computes only the
+// words its draws read and hands over to a seeded math/rand source if the
+// stream runs long.
 package rng
 
 import "math/rand"
